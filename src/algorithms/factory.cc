@@ -25,7 +25,7 @@ VertexId PickSourceVertex(const EdgeList& edges) {
   }
   // Smallest *positive* out-degree, lowest id on ties. A hub source is replicated into
   // nearly every partition under vertex-cut partitioning, so traversals rooted at one
-  // have near-full initial footprints and footprint-aware admission (overlap/predict)
+  // have near-full initial footprints and footprint-aware (overlap) admission
   // cannot discriminate between them; a low-degree source keeps traversal footprints
   // localized. Zero-out-degree vertices are excluded — a traversal from one never
   // leaves its source.

@@ -1,6 +1,7 @@
 #include "src/common/strings.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -62,7 +63,7 @@ bool ParseDouble(std::string_view text, double* out) {
   buf[text.size()] = '\0';
   char* end = nullptr;
   const double value = std::strtod(buf, &end);
-  if (end != buf + text.size()) {
+  if (end != buf + text.size() || !std::isfinite(value)) {
     return false;
   }
   *out = value;

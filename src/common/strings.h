@@ -18,7 +18,8 @@ std::string_view StripWhitespace(std::string_view text);
 // Parses a non-negative integer; returns false on any non-digit or overflow.
 bool ParseUint64(std::string_view text, uint64_t* out);
 
-// Parses a double via strtod semantics; returns false if the full token is not consumed.
+// Parses a double via strtod semantics; returns false if the full token is not consumed
+// or the value is not finite (nan, inf, or out of double range).
 bool ParseDouble(std::string_view text, double* out);
 
 // Formats `bytes` with binary-unit suffixes, e.g. "1.50 MiB".

@@ -1,50 +1,15 @@
 #include "src/core/admission_policy.h"
 
-#include <utility>
-
 #include "src/common/check.h"
-#include "src/common/function_ref.h"
 
 namespace cgraph {
 
-namespace {
-
-// The shared scoring loop of the footprint-aware policies: score every due candidate as
-// overlap + aging * waited, strict > keeping ties on the earliest (FIFO-ordered)
-// candidate. `overlap_of` returns the candidate's overlap term in [0, 1] and whether it
-// came from a history forecast. Centralizing this keeps the starvation bound — a score
-// bounded by 1 plus an unbounded aging term — and the tie-break identical across
-// policies, which the predict-degenerates-to-overlap guarantee relies on.
-AdmissionPolicy::Decision PickByScore(
-    std::span<const AdmissionPolicy::Candidate> due, uint64_t step, double aging,
-    FunctionRef<std::pair<double, bool>(const AdmissionPolicy::Candidate&)> overlap_of) {
-  CGRAPH_CHECK(!due.empty());
-  AdmissionPolicy::Decision best;
-  double best_score = -1.0;
-  for (size_t i = 0; i < due.size(); ++i) {
-    const AdmissionPolicy::Candidate& c = due[i];
-    CGRAPH_CHECK(c.footprint != nullptr);
-    CGRAPH_CHECK(c.arrival_step <= step);
-    const auto [overlap, predicted] = overlap_of(c);
-    const double score = overlap + aging * static_cast<double>(step - c.arrival_step);
-    if (score > best_score) {
-      best_score = score;
-      best = AdmissionPolicy::Decision{i, overlap, predicted};
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
 AdmissionPolicy::Decision FifoAdmission::Pick(std::span<const Candidate> due,
-                                              const GlobalTable& table, uint64_t step,
-                                              std::span<const PredictedRunner> running) const {
+                                              const GlobalTable& table, uint64_t step) const {
   (void)table;
   (void)step;
-  (void)running;
   CGRAPH_CHECK(!due.empty());
-  return Decision{0, 0.0, false};
+  return Decision{};
 }
 
 double OverlapAdmission::OverlapScore(const std::vector<uint32_t>& footprint,
@@ -64,23 +29,24 @@ double OverlapAdmission::OverlapScore(const std::vector<uint32_t>& footprint,
 }
 
 AdmissionPolicy::Decision OverlapAdmission::Pick(std::span<const Candidate> due,
-                                                 const GlobalTable& table, uint64_t step,
-                                                 std::span<const PredictedRunner> running) const {
-  (void)running;
-  return PickByScore(due, step, aging_, [&table](const Candidate& c) {
-    return std::make_pair(OverlapScore(*c.footprint, table), false);
-  });
-}
-
-AdmissionPolicy::Decision PredictAdmission::Pick(std::span<const Candidate> due,
-                                                 const GlobalTable& table, uint64_t step,
-                                                 std::span<const PredictedRunner> running) const {
-  return PickByScore(due, step, aging_, [&](const Candidate& c) {
-    if (history_->HasProfile(c.program)) {
-      return std::make_pair(history_->PredictOverlap(c.program, running), true);
+                                                 const GlobalTable& table, uint64_t step) const {
+  // Score every due candidate as overlap + aging * waited; strict > keeps ties on the
+  // earliest (FIFO-ordered) candidate.
+  CGRAPH_CHECK(!due.empty());
+  Decision best;
+  double best_score = -1.0;
+  for (size_t i = 0; i < due.size(); ++i) {
+    const Candidate& c = due[i];
+    CGRAPH_CHECK(c.footprint != nullptr);
+    CGRAPH_CHECK(c.arrival_step <= step);
+    const double overlap = OverlapScore(*c.footprint, table);
+    const double score = overlap + aging_ * static_cast<double>(step - c.arrival_step);
+    if (score > best_score) {
+      best_score = score;
+      best = Decision{i, overlap};
     }
-    return std::make_pair(OverlapAdmission::OverlapScore(*c.footprint, table), false);
-  });
+  }
+  return best;
 }
 
 bool ParseAdmissionPolicyName(std::string_view name, AdmissionPolicyKind* kind) {
@@ -92,10 +58,6 @@ bool ParseAdmissionPolicyName(std::string_view name, AdmissionPolicyKind* kind) 
     *kind = AdmissionPolicyKind::kOverlap;
     return true;
   }
-  if (name == "predict") {
-    *kind = AdmissionPolicyKind::kPredict;
-    return true;
-  }
   return false;
 }
 
@@ -105,22 +67,16 @@ std::string_view AdmissionPolicyKindName(AdmissionPolicyKind kind) {
       return "fifo";
     case AdmissionPolicyKind::kOverlap:
       return "overlap";
-    case AdmissionPolicyKind::kPredict:
-      return "predict";
   }
   return "fifo";
 }
 
-std::unique_ptr<AdmissionPolicy> MakeAdmissionPolicy(const EngineOptions& options,
-                                                     const FootprintHistory* history) {
+std::unique_ptr<AdmissionPolicy> MakeAdmissionPolicy(const EngineOptions& options) {
   switch (options.admission_policy) {
     case AdmissionPolicyKind::kFifo:
       return std::make_unique<FifoAdmission>();
     case AdmissionPolicyKind::kOverlap:
       return std::make_unique<OverlapAdmission>(options.admission_aging);
-    case AdmissionPolicyKind::kPredict:
-      CGRAPH_CHECK(history != nullptr);
-      return std::make_unique<PredictAdmission>(options.admission_aging, history);
   }
   return std::make_unique<FifoAdmission>();
 }

@@ -7,20 +7,16 @@
 // admitting the waiter whose footprint overlaps the running set most lets the partition
 // scheduler amortize each structure load over more jobs.
 //
-// Three policies are provided:
+// Two policies are provided:
 //
 //   * FIFO (default) — strict arrival order, bit-for-bit identical to the pre-policy
 //     engine: the front of the due queue is admitted, later waiters never overtake it.
 //   * Overlap — scores every *due* waiter by the fraction of its initially-active
 //     partition footprint currently registered by running jobs, plus an aging bonus per
 //     waited scheduling step so no due job starves (see OverlapAdmission).
-//   * Predict — scores by the integral of forecast footprint overlap with the running
-//     set over the waiter's expected lifetime, learned from completed jobs of the same
-//     program type (src/core/footprint_history.h); types with no completed history fall
-//     back to the overlap score. Same aging bonus and starvation bound.
 //
 // Policies are pure functions of modeled engine state (footprints, registration counts,
-// history profiles, step numbers) — never of wall clock or worker interleaving — so
+// step numbers) — never of wall clock or worker interleaving — so
 // admission order is deterministic and identical across runs and worker counts.
 
 #ifndef SRC_CORE_ADMISSION_POLICY_H_
@@ -33,7 +29,6 @@
 
 #include "src/common/types.h"
 #include "src/core/engine_options.h"
-#include "src/core/footprint_history.h"
 #include "src/storage/global_table.h"
 
 namespace cgraph {
@@ -49,16 +44,11 @@ class AdmissionPolicy {
     // Per-partition initially-active vertex counts (the job's expected first-iteration
     // footprint), or nullptr when the policy does not need footprints (FIFO).
     const std::vector<uint32_t>* footprint = nullptr;
-    // The program's name — the footprint-history profile key; empty when the policy
-    // does not use history.
-    std::string_view program;
   };
 
   struct Decision {
-    size_t index = 0;       // Which candidate to admit (index into the span).
-    double overlap = 0.0;   // The admitted job's overlap score (diagnostics; 0 under FIFO).
-    bool predicted = false; // Whether `overlap` came from a history forecast (predict
-                            // policy with a profile) rather than the initial footprint.
+    size_t index = 0;      // Which candidate to admit (index into the span).
+    double overlap = 0.0;  // The admitted job's overlap score (diagnostics; 0 under FIFO).
   };
 
   virtual ~AdmissionPolicy() = default;
@@ -70,21 +60,16 @@ class AdmissionPolicy {
   // candidates — so FIFO and uncontended admission pay nothing.
   virtual bool needs_footprints() const = 0;
 
-  // Whether Pick consumes the running-set span (and JobManager must collect completed
-  // jobs' activation traces into the footprint history). Only the predict policy does.
-  virtual bool needs_history() const { return false; }
-
   // Picks the candidate to admit into the free slot.
   //
   // Pre:  `due` is non-empty and sorted by (arrival_step, submission order); every
   //       candidate's arrival_step <= step; footprints are non-null when
   //       needs_footprints(). `table` reflects the running jobs' next-iteration
-  //       registrations. `running` describes the currently running jobs (ascending slot
-  //       order) when needs_history(), and may be empty otherwise.
+  //       registrations.
   // Post: the returned index is < due.size(). The choice depends only on the arguments
   //       (no hidden state), keeping admission deterministic.
   virtual Decision Pick(std::span<const Candidate> due, const GlobalTable& table,
-                        uint64_t step, std::span<const PredictedRunner> running) const = 0;
+                        uint64_t step) const = 0;
 };
 
 // Strict arrival-order admission: always the front of the due queue. This is exactly the
@@ -93,8 +78,8 @@ class FifoAdmission : public AdmissionPolicy {
  public:
   std::string_view name() const override { return "fifo"; }
   bool needs_footprints() const override { return false; }
-  Decision Pick(std::span<const Candidate> due, const GlobalTable& table, uint64_t step,
-                std::span<const PredictedRunner> running) const override;
+  Decision Pick(std::span<const Candidate> due, const GlobalTable& table,
+                uint64_t step) const override;
 };
 
 // Correlation-aware admission: maximize expected shared-partition reuse with the running
@@ -116,8 +101,8 @@ class OverlapAdmission : public AdmissionPolicy {
 
   std::string_view name() const override { return "overlap"; }
   bool needs_footprints() const override { return true; }
-  Decision Pick(std::span<const Candidate> due, const GlobalTable& table, uint64_t step,
-                std::span<const PredictedRunner> running) const override;
+  Decision Pick(std::span<const Candidate> due, const GlobalTable& table,
+                uint64_t step) const override;
 
   // The raw overlap term in [0, 1] (exposed for tests and diagnostics). Pre: `footprint`
   // has one entry per partition of `table`.
@@ -127,40 +112,14 @@ class OverlapAdmission : public AdmissionPolicy {
   double aging_;
 };
 
-// Forecast-aware admission: like OverlapAdmission, but a waiter whose program type has
-// completed history is scored by FootprintHistory::PredictOverlap — the integral of its
-// learned lifetime occupancy against the running set projected forward — instead of the
-// first-iteration snapshot. Types with no history score exactly like OverlapAdmission
-// (so with an empty history the policy degenerates to it decision-for-decision). Both
-// scores live in [0, 1], so the aging bound and the starvation argument carry over
-// unchanged.
-class PredictAdmission : public AdmissionPolicy {
- public:
-  // `history` is borrowed (owned by JobManager) and must outlive this.
-  PredictAdmission(double aging, const FootprintHistory* history)
-      : aging_(aging), history_(history) {}
-
-  std::string_view name() const override { return "predict"; }
-  bool needs_footprints() const override { return true; }
-  bool needs_history() const override { return true; }
-  Decision Pick(std::span<const Candidate> due, const GlobalTable& table, uint64_t step,
-                std::span<const PredictedRunner> running) const override;
-
- private:
-  double aging_;
-  const FootprintHistory* history_;
-};
-
-// Maps "fifo"/"overlap"/"predict" to the enum; returns false on unknown names.
+// Maps "fifo"/"overlap" to the enum; returns false on unknown names.
 bool ParseAdmissionPolicyName(std::string_view name, AdmissionPolicyKind* kind);
 
 // The canonical CLI/report name of a policy kind.
 std::string_view AdmissionPolicyKindName(AdmissionPolicyKind kind);
 
-// Instantiates the policy selected by `options.admission_policy`. `history` may be null
-// for kFifo/kOverlap; kPredict requires it.
-std::unique_ptr<AdmissionPolicy> MakeAdmissionPolicy(const EngineOptions& options,
-                                                     const FootprintHistory* history);
+// Instantiates the policy selected by `options.admission_policy`.
+std::unique_ptr<AdmissionPolicy> MakeAdmissionPolicy(const EngineOptions& options);
 
 }  // namespace cgraph
 

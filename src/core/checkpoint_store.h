@@ -33,8 +33,6 @@ struct JobCheckpoint {
   PrivateTable table;                         // Full private vertex-state copy.
   std::vector<std::vector<double>> deferred;  // Async deferred-broadcast windows.
   std::vector<uint8_t> deferred_pending;
-  // Per-iteration registration trace (predict-policy history feedback); empty otherwise.
-  std::vector<std::vector<PartitionId>> activity_trace;
   JobStats stats;                             // Counters as of this boundary.
   uint64_t bytes = 0;                         // Snapshot payload size (table + windows).
 };

@@ -19,9 +19,6 @@ namespace cgraph {
 enum class AdmissionPolicyKind : uint8_t {
   kFifo,     // Strict arrival order (default; bit-identical to the pre-policy engine).
   kOverlap,  // Maximize footprint overlap with running jobs, aging-bounded wait.
-  kPredict,  // Maximize lifetime-forecast overlap from completed-job history
-             // (src/core/footprint_history.h); falls back to kOverlap scoring for
-             // program types with no completed history yet.
 };
 
 // Iteration model (docs/execution_modes.md). kBsp is the deterministic bulk-synchronous
@@ -91,11 +88,6 @@ struct EngineOptions {
   // up to whole 64-vertex bitmask words so chunk claiming stays word-aligned.
   uint32_t chunk_grain = 256;
 
-  // Frontier-aware trigger sweeps: scan the active bitmask word-at-a-time and skip 64
-  // inactive vertices per load. Disabled = the dense per-vertex Test() loop (ablation;
-  // modeled metrics are identical either way, only wall time differs).
-  bool sparse_trigger = true;
-
   // Per-vertex bookkeeping sweeps (job init, activity refresh) run through the thread
   // pool's batch dispatch when a partition has at least this many local vertices;
   // smaller partitions stay inline because dispatch would cost more than the sweep.
@@ -123,33 +115,12 @@ struct EngineOptions {
   // Job-level admission: which due waiter a freed slot admits (CLI: --admission).
   AdmissionPolicyKind admission_policy = AdmissionPolicyKind::kFifo;
 
-  // Overlap/predict-admission aging: score bonus per scheduling step a due job has
-  // waited (CLI: --aging). Both overlap scores are bounded by 1, so a waiter can only be
-  // overtaken by jobs arriving within 1/admission_aging steps of it — bounded
-  // overtaking, hence no starvation (total wait still depends on how long slot-holders
-  // run). Must be > 0 under kOverlap/kPredict; ignored under kFifo.
+  // Overlap-admission aging: score bonus per scheduling step a due job has waited (CLI:
+  // --aging). The overlap score is bounded by 1, so a waiter can only be overtaken by
+  // jobs arriving within 1/admission_aging steps of it — bounded overtaking, hence no
+  // starvation (total wait still depends on how long slot-holders run). Must be > 0
+  // under kOverlap; ignored under kFifo.
   double admission_aging = 1.0 / 256.0;
-
-  // Footprint-history decay (CLI: --history-decay): each program type's occupancy
-  // profile is a decayed mean over its completed jobs — prior contributions are scaled
-  // by this factor before a new job folds in. 1 = plain mean over all history, 0 = only
-  // the most recent job. Must be in [0, 1]; consulted under kPredict.
-  double history_decay = 0.5;
-
-  // Lifetime buckets of the occupancy profile (CLI: --history-buckets): each completed
-  // job's per-iteration partition trace is normalized onto this many equal slices of its
-  // lifetime before folding into the profile. More buckets resolve frontier movement
-  // finer at proportionally more profile memory. Must be > 0 under kPredict.
-  uint32_t history_buckets = 8;
-
-  // Admission-time slot placement (CLI: --slot-pools): when > 1, the max_jobs slots are
-  // partitioned into this many contiguous pools and an admitted job joins the pool whose
-  // running cohort its (predicted, or initial-footprint) partition weights overlap most,
-  // taking the pool's lowest free slot. 1 (default) keeps the legacy placement
-  // (slot == job id when free, else lowest free slot), which FIFO bit-identity relies
-  // on. Placement affects only slot indices — and hence per-partition trigger order of
-  // co-registered jobs — never which job is admitted.
-  uint32_t slot_pools = 1;
 
   // Iteration model (CLI: --execution). kAsync only changes behavior for jobs whose
   // program declares monotonic() — everything else (and kBsp itself) is byte-identical
@@ -175,13 +146,6 @@ struct EngineOptions {
   // larger divisors widen deferral (more batching, more iteration stretch), 0 always
   // defers up to the staleness bound (fixed-window ablation).
   uint32_t async_defer_divisor = 1;
-
-  // Re-drain gate (kAsync, ablation): when non-zero, a partition is re-drained within
-  // the iteration only while its pre-sweep active count is at most this many vertices.
-  // Eligibility itself is the program's path_independent() trait — this knob only
-  // restricts *when* an eligible program drains, for ablating the eager flood against
-  // a tail-only one. 0 (default) always drains eligible programs.
-  uint32_t async_drain_limit = 0;
 
   // Safety valve against non-converging programs.
   uint64_t max_iterations_per_job = 10000;

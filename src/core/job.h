@@ -66,13 +66,6 @@ class Job {
   // job's first contended admission decision (empty otherwise); immutable afterwards.
   const std::vector<uint32_t>& footprint() const { return footprint_; }
 
-  // Per-iteration active-partition trace (row i = partitions with active vertices at
-  // iteration i, ascending). Collected only when the admission policy learns from
-  // history (predict); folded into the FootprintHistory and released at completion.
-  const std::vector<std::vector<PartitionId>>& activity_trace() const {
-    return activity_trace_;
-  }
-
  private:
   friend class LtpEngine;
   friend class BaselineExecutor;
@@ -133,8 +126,6 @@ class Job {
   std::vector<uint8_t> deferred_pending_;  // Partition has non-identity deferred deltas.
   // See footprint(); sized num_partitions when computed.
   std::vector<uint32_t> footprint_;
-  // See activity_trace(); empty unless the manager tracks footprint history.
-  std::vector<std::vector<PartitionId>> activity_trace_;
 };
 
 }  // namespace cgraph

@@ -51,23 +51,12 @@ bool InitiallyActiveFresh(const VertexProgram& program, const LocalVertexInfo& i
 JobManager::JobManager(const PartitionedGraph& layout, GlobalTable* table,
                        Scheduler* scheduler, ThreadPool* pool, const EngineOptions& options)
     : layout_(layout), table_(table), scheduler_(scheduler), pool_(pool), options_(options),
-      slot_jobs_(options.max_jobs, nullptr),
-      // The history subsystem exists only for policies that consume it: fifo/overlap
-      // skip the allocation and the constructor's knob validation entirely (so e.g.
-      // history_buckets = 0 is only rejected where it would matter).
-      history_(options.admission_policy == AdmissionPolicyKind::kPredict
-                   ? std::make_unique<FootprintHistory>(layout.num_partitions(),
-                                                        options.history_buckets,
-                                                        options.history_decay)
-                   : nullptr),
-      policy_(MakeAdmissionPolicy(options, history_.get())) {
+      slot_jobs_(options.max_jobs, nullptr), policy_(MakeAdmissionPolicy(options)) {
   CGRAPH_CHECK(table != nullptr);
   CGRAPH_CHECK(scheduler != nullptr);
   // Zero slots would livelock the drive loop: a due waiter could never be admitted.
   CGRAPH_CHECK(options.max_jobs > 0);
-  // Zero pools would leave admitted jobs with no slot to land in.
-  CGRAPH_CHECK(options.slot_pools > 0);
-  // Aging is the overlap/predict policies' starvation bound (a bounded overlap advantage
+  // Aging is the overlap policy's starvation bound (a bounded overlap advantage
   // cannot outrank an unboundedly aged waiter); zero would reopen unbounded waits.
   if (options.admission_policy != AdmissionPolicyKind::kFifo) {
     CGRAPH_CHECK(options.admission_aging > 0.0);
@@ -140,9 +129,8 @@ void JobManager::AdmitDue(uint64_t step) {
       if (w.arrival_step > step) {
         break;
       }
-      candidates_.push_back(AdmissionPolicy::Candidate{
-          w.job, w.arrival_step, &jobs_[w.job]->footprint(),
-          jobs_[w.job]->stats_.job_name});
+      candidates_.push_back(
+          AdmissionPolicy::Candidate{w.job, w.arrival_step, &jobs_[w.job]->footprint()});
     }
     const bool contended = candidates_.size() > 1;
     // Footprints are computed lazily, only when a decision actually has competing
@@ -157,21 +145,8 @@ void JobManager::AdmitDue(uint64_t step) {
         }
       }
     }
-    // The predict policy projects the running set forward: hand it the running jobs in
-    // ascending slot order (deterministic, and identical to legacy id order whenever
-    // total jobs <= max_jobs).
-    runners_.clear();
-    if (policy_->needs_history() && contended) {
-      for (const Job* running : slot_jobs_) {
-        if (running != nullptr) {
-          runners_.push_back(PredictedRunner{running->stats_.job_name, running->iteration_,
-                                             &running->active_count_});
-        }
-      }
-    }
     const AdmissionPolicy::Decision pick =
-        contended ? policy_->Pick(candidates_, *table_, step, runners_)
-                  : AdmissionPolicy::Decision{0, 0.0, false};
+        contended ? policy_->Pick(candidates_, *table_, step) : AdmissionPolicy::Decision{};
     CGRAPH_CHECK(pick.index < candidates_.size());
     Job& job = *jobs_[candidates_[pick.index].job];
     const uint32_t slot = AllocateSlot(job);
@@ -184,8 +159,6 @@ void JobManager::AdmitDue(uint64_t step) {
     // a footprint-aware policy. Keeps "scored zero overlap" distinguishable from "never
     // scored" in Report() aggregation.
     job.stats_.admit_scored = contended && policy_->needs_footprints();
-    job.stats_.admit_predicted = pick.predicted;
-    job.stats_.predicted_overlap = pick.predicted ? pick.overlap : 0.0;
     waiting_.erase(waiting_.begin() + static_cast<ptrdiff_t>(pick.index));
     InitJob(job, slot);
   }
@@ -218,95 +191,22 @@ uint64_t JobManager::NextArrivalStep() const {
   return waiting_.front().arrival_step;
 }
 
-uint32_t JobManager::AllocateSlot(Job& job) {
+uint32_t JobManager::AllocateSlot(const Job& job) const {
   const uint32_t num_slots = static_cast<uint32_t>(slot_jobs_.size());
-  if (options_.slot_pools <= 1) {
-    // Prefer slot == id: in every legacy scenario (total jobs <= max_jobs) each job then
-    // lands on its own id even when an earlier job already finished, keeping registration
-    // bits — and hence RegisteredJobs order, rotation, and miss attribution — identical to
-    // the pre-layered engine. The fallback scan recycles freed slots for ids beyond the
-    // pool.
-    if (job.id_ < num_slots && slot_jobs_[job.id_] == nullptr) {
-      return job.id_;
-    }
-    for (uint32_t s = 0; s < num_slots; ++s) {
-      if (slot_jobs_[s] == nullptr) {
-        return s;
-      }
-    }
-    return Job::kInvalidSlot;
+  // Prefer slot == id: in every legacy scenario (total jobs <= max_jobs) each job then
+  // lands on its own id even when an earlier job already finished, keeping registration
+  // bits — and hence RegisteredJobs order, rotation, and miss attribution — identical to
+  // the pre-layered engine. The fallback scan recycles freed slots for ids beyond the
+  // pool.
+  if (job.id_ < num_slots && slot_jobs_[job.id_] == nullptr) {
+    return job.id_;
   }
-
-  // Admission-time placement: slots are split into contiguous pools; the job joins the
-  // pool whose running cohort's active partitions its own partition weights overlap
-  // most (ties toward the lowest pool, and an all-idle pool scores 0). Placement never
-  // rejects: any pool with a free slot is eligible, so a job is only turned away when
-  // every slot everywhere is busy.
-  const uint32_t pools = std::min(options_.slot_pools, num_slots);
-  uint32_t best_slot = Job::kInvalidSlot;
-  uint32_t best_pool = 0;
-  double best_score = -1.0;
-  for (uint32_t pool = 0; pool < pools; ++pool) {
-    const uint32_t lo = static_cast<uint32_t>(
-        static_cast<uint64_t>(pool) * num_slots / pools);
-    const uint32_t hi = static_cast<uint32_t>(
-        static_cast<uint64_t>(pool + 1) * num_slots / pools);
-    uint32_t free_slot = Job::kInvalidSlot;
-    bool any_member = false;
-    cohort_needed_.assign(layout_.num_partitions(), false);
-    for (uint32_t s = lo; s < hi; ++s) {
-      const Job* member = slot_jobs_[s];
-      if (member == nullptr) {
-        if (free_slot == Job::kInvalidSlot) {
-          free_slot = s;
-        }
-        continue;
-      }
-      any_member = true;
-      for (PartitionId p = 0; p < layout_.num_partitions(); ++p) {
-        if (member->active_count_[p] > 0) {
-          cohort_needed_[p] = true;
-        }
-      }
-    }
-    if (free_slot == Job::kInvalidSlot) {
-      continue;  // Pool full.
-    }
-    const double score = any_member ? PlacementScore(job, cohort_needed_) : 0.0;
-    if (score > best_score) {
-      best_score = score;
-      best_slot = free_slot;
-      best_pool = pool;
+  for (uint32_t s = 0; s < num_slots; ++s) {
+    if (slot_jobs_[s] == nullptr) {
+      return s;
     }
   }
-  if (best_slot != Job::kInvalidSlot) {
-    job.stats_.admit_pool = best_pool;
-  }
-  return best_slot;
-}
-
-double JobManager::PlacementScore(Job& job, const std::vector<bool>& needed) {
-  // Forecast weights when the job's type has history, the initial-footprint snapshot
-  // otherwise (computed on demand here — placement can run before any contended
-  // decision forced it).
-  if (history_ != nullptr && history_->HasProfile(job.stats_.job_name)) {
-    return history_->OverlapWithSet(job.stats_.job_name, needed);
-  }
-  if (job.footprint_.empty()) {
-    ComputeFootprint(job);
-  }
-  uint32_t total = 0;
-  uint32_t shared = 0;
-  for (PartitionId p = 0; p < layout_.num_partitions(); ++p) {
-    if (job.footprint_[p] == 0) {
-      continue;
-    }
-    ++total;
-    if (needed[p]) {
-      ++shared;
-    }
-  }
-  return total == 0 ? 0.0 : static_cast<double>(shared) / total;
+  return Job::kInvalidSlot;
 }
 
 void JobManager::InitJob(Job& job, uint32_t slot) {
@@ -404,7 +304,6 @@ void JobManager::RestoreJob(Job& job) {
   job.since_sync_ = cp->since_sync;
   job.deferred_ = cp->deferred;
   job.deferred_pending_ = cp->deferred_pending;
-  job.activity_trace_ = cp->activity_trace;
   // Same effective-mode derivation as a fresh init; the snapshot's async state matches
   // because the options and program are the job's own.
   job.async_ = options_.execution_mode == ExecutionMode::kAsync && options_.staleness > 0 &&
@@ -531,7 +430,6 @@ void JobManager::MaybeCheckpoint(Job& job) {
   cp.table = job.table_;
   cp.deferred = job.deferred_;
   cp.deferred_pending = job.deferred_pending_;
-  cp.activity_trace = job.activity_trace_;
   cp.stats = job.stats_;
   cp.bytes = bytes;
   checkpoints_->Save(job.id_, std::move(cp));
@@ -542,21 +440,6 @@ uint64_t JobManager::RefreshActivity(Job& job, bool all_partitions, bool swap_bu
   const PartitionedGraph& g = layout_;
   uint64_t total = 0;
   job.remaining_ = 0;
-  // History-consuming policies record the registered set per iteration. The row is the
-  // 0-based index of the iteration this registration feeds: 0 from InitJob, the next
-  // iteration from the post-Push swap refresh (iteration_ not yet incremented), and the
-  // current upcoming iteration from a phase re-initialization (iteration_ already
-  // incremented — overwrites the row the swap refresh just wrote, which is correct:
-  // the re-init replaced that iteration's activation set).
-  std::vector<PartitionId>* trace_row = nullptr;
-  if (policy_->needs_history()) {
-    const size_t row = initial ? 0 : (swap_buffers ? job.iteration_ + 1 : job.iteration_);
-    if (job.activity_trace_.size() <= row) {
-      job.activity_trace_.resize(row + 1);
-    }
-    trace_row = &job.activity_trace_[row];
-    trace_row->clear();
-  }
   for (PartitionId p = 0; p < g.num_partitions(); ++p) {
     if (!all_partitions && !job.dirty_[p]) {
       // Untouched partition: previous activity stands. It is necessarily zero — every
@@ -578,9 +461,6 @@ uint64_t JobManager::RefreshActivity(Job& job, bool all_partitions, bool swap_bu
     if (count > 0) {
       table_->Register(p, job.slot_);
       ++job.remaining_;
-      if (trace_row != nullptr) {
-        trace_row->push_back(p);  // Ascending p: the loop index.
-      }
     } else {
       // Keep registration exact even across repeated phase re-initializations.
       table_->Unregister(p, job.slot_);
@@ -641,16 +521,7 @@ bool JobManager::MarkProcessed(Job& job, PartitionId p) {
 void JobManager::FinalizeJob(Job& job) {
   CGRAPH_CHECK(job.slot_ != Job::kInvalidSlot);
   job.finished_ = true;
-  const bool clean = !job.stats_.failed && !job.stats_.cancelled;
-  if (policy_->needs_history() && clean) {
-    // Feed the completed lifetime back into the per-type profile before the freed slot
-    // admits anyone — the very next decision already sees this job's trace. Failed and
-    // cancelled jobs are excluded: their truncated traces would poison the profiles.
-    history_->RecordCompletion(job.stats_.job_name, job.activity_trace_, job.stats_.iterations);
-    job.activity_trace_.clear();
-    job.activity_trace_.shrink_to_fit();
-  }
-  if (checkpoints_ != nullptr && clean) {
+  if (checkpoints_ != nullptr && !job.stats_.failed && !job.stats_.cancelled) {
     // A cleanly completed job needs no restart point; failed/cancelled jobs keep theirs
     // for RestartFromCheckpoint.
     checkpoints_->Drop(job.id_);

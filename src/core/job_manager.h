@@ -19,10 +19,6 @@
 //     RefreshActivity registers next-iteration partitions, MarkProcessed retires them,
 //     FinishJob clears every bit, frees the slot, and finalizes the job's stats — the
 //     per-job report is complete the moment the job completes, not at engine teardown.
-//   * Under the predict policy the manager doubles as the history feedback loop: the
-//     activation-tracing sets RefreshActivity computes are recorded per iteration on the
-//     job, folded into the FootprintHistory at completion, and consulted by the next
-//     admission decision (and, with slot_pools > 1, by admission-time slot placement).
 
 #ifndef SRC_CORE_JOB_MANAGER_H_
 #define SRC_CORE_JOB_MANAGER_H_
@@ -36,7 +32,6 @@
 #include "src/core/admission_policy.h"
 #include "src/core/checkpoint_store.h"
 #include "src/core/engine_options.h"
-#include "src/core/footprint_history.h"
 #include "src/core/job.h"
 #include "src/core/scheduler.h"
 #include "src/partition/partitioned_graph.h"
@@ -179,14 +174,6 @@ class JobManager {
   // Mean change fraction of p over running jobs — C(P) of scheduler Eq. 1.
   double MeanStateChange(PartitionId p) const;
 
-  // The per-program-type lifetime-footprint profiles learned from completed jobs.
-  // Pre: the admission policy consumes history (predict) — the subsystem does not
-  // exist (and its knobs are not validated) under fifo/overlap.
-  const FootprintHistory& history() const {
-    CGRAPH_CHECK(history_ != nullptr);
-    return *history_;
-  }
-
   // Engine-maintained clocks, consumed by FinishJob (stats) and slot-release admission.
   void set_elapsed_seconds(double seconds) CGRAPH_REQUIRES_DRIVER {
     elapsed_seconds_ = seconds;
@@ -205,19 +192,11 @@ class JobManager {
   // boundary those are pure functions of the states, so the rebuild is exact.
   void RestoreJob(Job& job) CGRAPH_REQUIRES_DRIVER;
   // Completion bookkeeping without follow-on admission: final stats, registration
-  // teardown, slot release — and, under history-consuming policies, folding the job's
-  // activation trace into the footprint history (skipped for failed/cancelled jobs,
-  // whose partial traces would poison the per-type profiles).
+  // teardown, slot release.
   void FinalizeJob(Job& job) CGRAPH_REQUIRES_DRIVER;
-  // A free slot for `job`, or Job::kInvalidSlot when all are busy. With slot_pools == 1
-  // (default): the job's own id when available (legacy bit-identity), else the smallest
-  // free one. With slot_pools > 1: the lowest free slot of the pool whose running cohort
-  // the job's partition weights (history forecast, else initial footprint) overlap most
-  // — admission-time placement; records stats().admit_pool.
-  uint32_t AllocateSlot(Job& job) CGRAPH_REQUIRES_DRIVER;
-  // The placement score of `job` against the union of partitions currently active for
-  // a cohort (`needed`, one flag per partition).
-  double PlacementScore(Job& job, const std::vector<bool>& needed) CGRAPH_REQUIRES_DRIVER;
+  // A free slot for `job`, or Job::kInvalidSlot when all are busy: the job's own id when
+  // available (legacy bit-identity), else the smallest free one.
+  uint32_t AllocateSlot(const Job& job) const CGRAPH_REQUIRES_DRIVER_SHARED;
 
   // Fills job.footprint_ with per-partition initially-active vertex counts (the state
   // InitJob would build, without materializing a private table). Called lazily from
@@ -248,18 +227,11 @@ class JobManager {
   };
   // Sorted by (arrival_step, submission order).
   std::deque<Waiter> waiting_ CGRAPH_GUARDED_BY_DRIVER;
-  // Declared before policy_ (the predict policy borrows a pointer); null under
-  // policies that never consult history, so fifo/overlap pay nothing for the
-  // subsystem and its knobs go unvalidated there.
-  std::unique_ptr<FootprintHistory> history_;
   std::unique_ptr<AdmissionPolicy> policy_;
   // Allocated only when EngineOptions::checkpoint_every > 0; null = checkpointing off.
   std::unique_ptr<CheckpointStore> checkpoints_;
-  // AdmitDue's candidate/runner arenas and AllocateSlot's cohort mask, reused across
-  // calls (no per-admission allocation).
+  // AdmitDue's candidate arena, reused across calls (no per-admission allocation).
   std::vector<AdmissionPolicy::Candidate> candidates_ CGRAPH_GUARDED_BY_DRIVER;
-  std::vector<PredictedRunner> runners_ CGRAPH_GUARDED_BY_DRIVER;
-  std::vector<bool> cohort_needed_ CGRAPH_GUARDED_BY_DRIVER;
   uint32_t running_ CGRAPH_GUARDED_BY_DRIVER = 0;
   double elapsed_seconds_ CGRAPH_GUARDED_BY_DRIVER = 0.0;
   uint64_t current_step_ CGRAPH_GUARDED_BY_DRIVER = 0;

@@ -190,10 +190,6 @@ class LtpEngine {
 
   size_t num_jobs() const { return manager_->num_jobs(); }
   const Job& job(JobId id) const { return manager_->job(id); }
-  // Per-program-type lifetime-footprint profiles learned from completed jobs. Pre:
-  // admission_policy = predict — the subsystem only exists under history-consuming
-  // policies (see src/core/footprint_history.h).
-  const FootprintHistory& footprint_history() const { return manager_->history(); }
   const MemoryHierarchy& hierarchy() const { return *hierarchy_; }
   const EngineOptions& options() const { return options_; }
 

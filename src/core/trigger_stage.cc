@@ -48,12 +48,9 @@ void TriggerStage::Run(PartitionId p, const GraphPartition& part,
   // table is still resident (just charged above), so the extra sweeps are pure compute.
   // Only path-independent programs drain — their eager local flood delivers final
   // candidate labels, while an edge-accumulating program would scatter values the next
-  // mirror merge is about to improve (see VertexProgram::path_independent()). The
-  // active-count gate is an ablation knob on top.
+  // mirror merge is about to improve (see VertexProgram::path_independent()).
   for (Job* job : batch_scratch_) {
-    if (job->async_ && job->program().path_independent() &&
-        (options_.async_drain_limit == 0 ||
-         job->active_count_[p] <= options_.async_drain_limit)) {
+    if (job->async_ && job->program().path_independent()) {
       Redrain(p, part, job);
     }
   }
@@ -124,24 +121,12 @@ uint64_t TriggerStage::ProcessWords(PartitionId p, const GraphPartition& part, J
   auto states = job->table().partition(p);
   ScatterOps ops(job->program().acc_kind(), states);
   uint64_t vertex_computes = 0;
-  if (options_.sparse_trigger) {
-    // Word-level frontier scan: 64 inactive vertices cost one load + compare, and active
-    // vertices are visited in the same ascending order as the dense loop.
-    mask.ForEachSetBitInWords(word_begin, word_end, [&](size_t v) {
-      job->program().Compute(part, static_cast<LocalVertexId>(v), states, ops);
-      ++vertex_computes;
-    });
-  } else {
-    // Dense ablation sweep: per-vertex Test over the same word range.
-    const size_t begin = word_begin * 64;
-    const size_t end = std::min(word_end * 64, static_cast<size_t>(part.num_local_vertices()));
-    for (size_t v = begin; v < end; ++v) {
-      if (mask.Test(v)) {
-        job->program().Compute(part, static_cast<LocalVertexId>(v), states, ops);
-        ++vertex_computes;
-      }
-    }
-  }
+  // Word-level frontier scan: 64 inactive vertices cost one load + compare, and active
+  // vertices are visited in ascending order.
+  mask.ForEachSetBitInWords(word_begin, word_end, [&](size_t v) {
+    job->program().Compute(part, static_cast<LocalVertexId>(v), states, ops);
+    ++vertex_computes;
+  });
   // Flush counters with atomic adds: several workers may finish chunks of the same job
   // concurrently.
   std::atomic_ref<uint64_t>(job->stats_.vertex_computes)

@@ -13,8 +13,7 @@
 // ThreadPool::RunBatch — no per-task heap allocation anywhere on the path. Batches whose
 // jobs hold fewer than EngineOptions::parallel_trigger_threshold active vertices run
 // inline on the driver thread instead (dispatch would cost more than the sweep). Cost is
-// proportional to the frontier, not the partition; modeled metrics are identical to the
-// dense sweep (EngineOptions::sparse_trigger toggles it for ablation).
+// proportional to the frontier, not the partition.
 
 #ifndef SRC_CORE_TRIGGER_STAGE_H_
 #define SRC_CORE_TRIGGER_STAGE_H_

@@ -1,5 +1,6 @@
 #include "src/graph/io.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -46,11 +47,16 @@ Result<EdgeList> LoadEdgeListText(const std::string& path) {
     if (src > kInvalidVertex - 1 || dst > kInvalidVertex - 1) {
       return Status::OutOfRange(LineError(path, line_no, "vertex id exceeds 32-bit range"));
     }
-    double weight = 1.0;
-    if (fields.size() == 3 && !ParseDouble(fields[2], &weight)) {
-      return Status::InvalidArgument(LineError(path, line_no, "weight must be a number"));
+    double parsed = 1.0;
+    if (fields.size() == 3 && !ParseDouble(fields[2], &parsed)) {
+      return Status::InvalidArgument(LineError(path, line_no, "weight must be a finite number"));
     }
-    list.Add(static_cast<VertexId>(src), static_cast<VertexId>(dst), static_cast<Weight>(weight));
+    // A finite double can still overflow the narrower Weight type.
+    const Weight weight = static_cast<Weight>(parsed);
+    if (!std::isfinite(weight)) {
+      return Status::InvalidArgument(LineError(path, line_no, "weight out of range"));
+    }
+    list.Add(static_cast<VertexId>(src), static_cast<VertexId>(dst), weight);
   }
   return list;
 }

@@ -29,17 +29,10 @@ struct JobStats {
   // it is false under FIFO and for *uncontended* admissions (a lone due candidate is
   // admitted without scoring — footprints are computed lazily, only for decisions with
   // competitors), where admit_overlap's 0 carries no information and aggregations must
-  // skip the job. admit_predicted marks scores produced by the footprint-history
-  // forecast (predict policy, program type with completed history) — predicted_overlap
-  // then repeats the forecast value — rather than the initial-footprint snapshot.
-  // admit_pool is the slot pool the job was placed into (0 unless
-  // EngineOptions::slot_pools > 1).
+  // skip the job.
   uint64_t wait_steps = 0;
   double admit_overlap = 0.0;
-  double predicted_overlap = 0.0;
   bool admit_scored = false;
-  bool admit_predicted = false;
-  uint32_t admit_pool = 0;
   // Service-daemon diagnostics (not part of the CSV schema; see docs/service.md).
   // finish_step is the scheduling step at which the job completed (or was shed) —
   // completion_latency = finish_step - (arrival_step + wait is already folded in via the

@@ -25,7 +25,7 @@ enum class PartitionerKind : uint8_t {
   // default, and byte-identical to the pre-partitioner-layer engine.
   kEvenEdge,
   // Hash of the source vertex: keeps each vertex's out-edges together but inherits the
-  // power-law imbalance. The historical EdgeAssignment::kHashBySource comparison point.
+  // power-law imbalance. A comparison point for the partitioning ablation.
   kHashSource,
   // Streaming greedy edge placement: each edge (in deterministic stream order) scores
   // candidate partitions by how many of its endpoints are already resident there,

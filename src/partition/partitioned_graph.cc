@@ -88,14 +88,7 @@ GraphPartition GraphPartition::RewireClone(uint64_t num_rewires, uint64_t seed) 
 
 PartitionedGraph PartitionedGraphBuilder::Build(const EdgeList& edges,
                                                 const PartitionOptions& options) {
-  // The legacy EdgeAssignment enum keeps working: kHashBySource selects the hash_source
-  // strategy unless options.partitioner was set to something non-default explicitly.
-  PartitionerKind kind = options.partitioner;
-  if (kind == PartitionerKind::kEvenEdge &&
-      options.assignment == EdgeAssignment::kHashBySource) {
-    kind = PartitionerKind::kHashSource;
-  }
-  return Build(edges, options, *MakePartitioner(kind));
+  return Build(edges, options, *MakePartitioner(options.partitioner));
 }
 
 PartitionedGraph PartitionedGraphBuilder::Build(const EdgeList& edges,

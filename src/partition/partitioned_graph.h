@@ -129,24 +129,10 @@ class GraphPartition {
   std::vector<LocalVertexId> interior_locals_;
 };
 
-// How edges are assigned to partitions.
-enum class EdgeAssignment {
-  // The paper's scheme: sort (optionally core-first) and cut into equal-edge chunks —
-  // balanced by construction.
-  kChunkedEvenEdges,
-  // Hash of the source vertex: keeps each vertex's out-edges together (cheap, stream-
-  // friendly) but inherits the power-law imbalance; provided as a comparison point for
-  // the partitioning ablation.
-  kHashBySource,
-};
-
 struct PartitionOptions {
-  // Number of partitions (same-sized by edge count under kChunkedEvenEdges).
+  // Number of partitions (same-sized by edge count under kEvenEdge).
   uint32_t num_partitions = 8;
-  EdgeAssignment assignment = EdgeAssignment::kChunkedEvenEdges;
-  // Edge-placement strategy (CLI: --partitioner). Takes precedence over `assignment`
-  // unless left at the default kEvenEdge while `assignment` selects kHashBySource, which
-  // keeps the historical enum working for the partitioning ablation.
+  // Edge-placement strategy (CLI: --partitioner; see docs/partitioning.md).
   PartitionerKind partitioner = PartitionerKind::kEvenEdge;
   // Core-subgraph partitioning (paper section 3.3): group edges between high-degree "core"
   // vertices into dedicated partitions so reloading hubs does not drag early-converged
@@ -194,8 +180,7 @@ class PartitionedGraph {
 // Builds a PartitionedGraph from an edge list. Deterministic for fixed inputs/options.
 class PartitionedGraphBuilder {
  public:
-  // Resolves options.partitioner (and the legacy options.assignment) through
-  // MakePartitioner and delegates to the explicit-strategy overload below.
+  // Resolves options.partitioner through MakePartitioner and delegates to the explicit-strategy overload below.
   static PartitionedGraph Build(const EdgeList& edges, const PartitionOptions& options);
 
   // Builds with an explicit strategy: the partitioner produces the edge-placement plan;

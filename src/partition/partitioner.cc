@@ -121,8 +121,7 @@ class EvenEdgePartitioner final : public Partitioner {
   }
 };
 
-// Hash of the source vertex (the historical EdgeAssignment::kHashBySource): keeps each
-// vertex's out-edges together but inherits the power-law imbalance.
+// Hash of the source vertex: keeps each vertex's out-edges together but inherits the power-law imbalance.
 class HashSourcePartitioner final : public Partitioner {
  public:
   PartitionerKind kind() const override { return PartitionerKind::kHashSource; }

@@ -43,8 +43,8 @@ TEST(AdmissionPolicyTest, FifoAlwaysPicksTheFront) {
   FifoAdmission fifo;
   const std::vector<uint32_t> a = {0, 0, 5, 5};  // Would lose on overlap...
   const std::vector<uint32_t> b = {7, 7, 0, 0};  // ...to this one.
-  const std::vector<Candidate> due = {{0, 0, &a, {}}, {1, 0, &b, {}}};
-  const auto pick = fifo.Pick(due, table, /*step=*/100, {});
+  const std::vector<Candidate> due = {{0, 0, &a}, {1, 0, &b}};
+  const auto pick = fifo.Pick(due, table, /*step=*/100);
   EXPECT_EQ(pick.index, 0u);
   EXPECT_EQ(pick.overlap, 0.0);
 }
@@ -67,8 +67,8 @@ TEST(AdmissionPolicyTest, OverlapPrefersTheSharedFootprint) {
   const std::vector<uint32_t> disjoint = {0, 0, 4, 4};
   const std::vector<uint32_t> shared = {4, 4, 0, 0};
   // The FIFO-older candidate needs idle partitions; the younger one rides the running set.
-  const std::vector<Candidate> due = {{0, 10, &disjoint, {}}, {1, 12, &shared, {}}};
-  const auto pick = overlap.Pick(due, table, /*step=*/12, {});
+  const std::vector<Candidate> due = {{0, 10, &disjoint}, {1, 12, &shared}};
+  const auto pick = overlap.Pick(due, table, /*step=*/12);
   EXPECT_EQ(pick.index, 1u);
   EXPECT_DOUBLE_EQ(pick.overlap, 1.0);
 }
@@ -78,8 +78,8 @@ TEST(AdmissionPolicyTest, OverlapTiesBreakTowardFifoOrder) {
   OverlapAdmission overlap(/*aging=*/1.0 / 256.0);
   const std::vector<uint32_t> fp = {1, 0, 0, 0};
   // Identical footprints and arrival steps: the earliest submission must win.
-  const std::vector<Candidate> due = {{3, 5, &fp, {}}, {4, 5, &fp, {}}, {5, 5, &fp, {}}};
-  EXPECT_EQ(overlap.Pick(due, table, /*step=*/9, {}).index, 0u);
+  const std::vector<Candidate> due = {{3, 5, &fp}, {4, 5, &fp}, {5, 5, &fp}};
+  EXPECT_EQ(overlap.Pick(due, table, /*step=*/9).index, 0u);
 }
 
 TEST(AdmissionPolicyTest, AgingOvertakesBoundedOverlapAdvantage) {
@@ -92,12 +92,12 @@ TEST(AdmissionPolicyTest, AgingOvertakesBoundedOverlapAdvantage) {
   // gap is under 1/aging steps; from 256 waited steps on, the oldie must win (ties
   // break toward it as the FIFO-older candidate).
   for (const uint64_t waited : {0ull, 100ull, 255ull}) {
-    const std::vector<Candidate> due = {{0, 0, &never_overlaps, {}}, {1, waited, &always_overlaps, {}}};
-    EXPECT_EQ(overlap.Pick(due, table, waited, {}).index, 1u) << waited;
+    const std::vector<Candidate> due = {{0, 0, &never_overlaps}, {1, waited, &always_overlaps}};
+    EXPECT_EQ(overlap.Pick(due, table, waited).index, 1u) << waited;
   }
   for (const uint64_t waited : {256ull, 300ull, 100000ull}) {
-    const std::vector<Candidate> due = {{0, 0, &never_overlaps, {}}, {1, waited, &always_overlaps, {}}};
-    EXPECT_EQ(overlap.Pick(due, table, waited, {}).index, 0u) << waited;
+    const std::vector<Candidate> due = {{0, 0, &never_overlaps}, {1, waited, &always_overlaps}};
+    EXPECT_EQ(overlap.Pick(due, table, waited).index, 0u) << waited;
   }
 }
 
@@ -112,8 +112,8 @@ TEST(AdmissionPolicyTest, HostileArrivalStreamCannotStarveADueJob) {
   uint64_t step = 0;
   bool victim_admitted = false;
   for (; step < 200; ++step) {
-    const std::vector<Candidate> due = {{0, 0, &victim_fp, {}}, {1 + static_cast<JobId>(step), step, &hostile_fp, {}}};
-    if (overlap.Pick(due, table, step, {}).index == 0) {
+    const std::vector<Candidate> due = {{0, 0, &victim_fp}, {1 + static_cast<JobId>(step), step, &hostile_fp}};
+    if (overlap.Pick(due, table, step).index == 0) {
       victim_admitted = true;
       break;
     }
@@ -130,90 +130,9 @@ TEST(AdmissionPolicyTest, ParseAndNameRoundTrip) {
   EXPECT_TRUE(ParseAdmissionPolicyName("overlap", &kind));
   EXPECT_EQ(kind, AdmissionPolicyKind::kOverlap);
   EXPECT_EQ(AdmissionPolicyKindName(kind), "overlap");
-  EXPECT_TRUE(ParseAdmissionPolicyName("predict", &kind));
-  EXPECT_EQ(kind, AdmissionPolicyKind::kPredict);
-  EXPECT_EQ(AdmissionPolicyKindName(kind), "predict");
+  EXPECT_FALSE(ParseAdmissionPolicyName("predict", &kind));
   EXPECT_FALSE(ParseAdmissionPolicyName("sjf", &kind));
   EXPECT_FALSE(ParseAdmissionPolicyName("", &kind));
-}
-
-// --- Predict policy unit tests (synthetic history + runners) -------------------------
-
-TEST(AdmissionPolicyTest, PredictFallsBackToOverlapWithoutHistory) {
-  const GlobalTable table = TableWithRegistered(4, {0, 1});
-  FootprintHistory empty(/*num_partitions=*/4, /*buckets=*/4, /*decay=*/0.5);
-  OverlapAdmission overlap(/*aging=*/1.0 / 256.0);
-  PredictAdmission predict(/*aging=*/1.0 / 256.0, &empty);
-  const std::vector<uint32_t> disjoint = {0, 0, 4, 4};
-  const std::vector<uint32_t> shared = {4, 4, 0, 0};
-  const std::vector<Candidate> due = {{0, 10, &disjoint, "a"}, {1, 12, &shared, "b"}};
-  // No program type has completed history: every candidate falls back to the
-  // initial-footprint score, so predict reproduces overlap decision-for-decision.
-  const auto expected = overlap.Pick(due, table, /*step=*/12, {});
-  const auto pick = predict.Pick(due, table, /*step=*/12, {});
-  EXPECT_EQ(pick.index, expected.index);
-  EXPECT_DOUBLE_EQ(pick.overlap, expected.overlap);
-  EXPECT_FALSE(pick.predicted);
-}
-
-TEST(AdmissionPolicyTest, PredictPrefersForecastLifetimeOverInitialFootprint) {
-  // The running job lives on partitions {2, 3} — registered in the table and active in
-  // its current iteration.
-  const GlobalTable table = TableWithRegistered(4, {2, 3});
-  const std::vector<uint32_t> runner_active = {0, 0, 5, 5};
-  const std::vector<PredictedRunner> running = {{"runner", 0, &runner_active}};
-
-  // A completed "trav" job started on partition 0 but spent its life on {2, 3}: the
-  // initial footprint is a stale signal, the learned lifetime occupancy is not.
-  FootprintHistory history(/*num_partitions=*/4, /*buckets=*/4, /*decay=*/0.5);
-  history.RecordCompletion("trav", {{0}, {2}, {3}, {2, 3}}, /*iterations=*/4);
-
-  const std::vector<uint32_t> plain_fp = {0, 1, 0, 0};  // Initially on idle partition 1.
-  const std::vector<uint32_t> trav_fp = {1, 0, 0, 0};   // Initially on idle partition 0.
-  const std::vector<Candidate> due = {{0, 5, &plain_fp, "plain"}, {1, 5, &trav_fp, "trav"}};
-
-  // Both initial footprints miss the running set, so overlap scores 0 each and FIFO
-  // order keeps the front.
-  OverlapAdmission overlap(/*aging=*/1.0 / 256.0);
-  EXPECT_EQ(overlap.Pick(due, table, /*step=*/5, running).index, 0u);
-
-  // Predict sees trav's lifetime occupancy: 4 of its 5 partition-iterations land on the
-  // runner's {2, 3}, so the forecast overlap is 0.8 and trav overtakes.
-  PredictAdmission predict(/*aging=*/1.0 / 256.0, &history);
-  const auto pick = predict.Pick(due, table, /*step=*/5, running);
-  EXPECT_EQ(pick.index, 1u);
-  EXPECT_TRUE(pick.predicted);
-  EXPECT_DOUBLE_EQ(pick.overlap, 0.8);
-}
-
-TEST(AdmissionPolicyTest, AgingOvertakesBoundedPredictionAdvantage) {
-  const GlobalTable table = TableWithRegistered(4, {0});
-  const std::vector<uint32_t> runner_active = {7, 0, 0, 0};
-  const std::vector<PredictedRunner> running = {{"runner", 0, &runner_active}};
-
-  FootprintHistory history(/*num_partitions=*/4, /*buckets=*/4, /*decay=*/0.5);
-  history.RecordCompletion("cold", {{3}, {3}, {3}, {3}}, /*iterations=*/4);  // Forecast 0.
-  history.RecordCompletion("hot", {{0}, {0}, {0}, {0}}, /*iterations=*/4);   // Forecast 1.
-
-  const double aging = 1.0 / 256.0;
-  PredictAdmission predict(aging, &history);
-  const std::vector<uint32_t> cold_fp = {0, 0, 0, 9};
-  const std::vector<uint32_t> hot_fp = {9, 0, 0, 0};
-  // Same boundary as the overlap policy: prediction scores are bounded by 1, so a fresh
-  // full-forecast candidate outranks the zero-forecast oldie only while the age gap is
-  // under 1/aging steps; from 256 waited steps on, the oldie wins (FIFO tie-break).
-  for (const uint64_t waited : {0ull, 100ull, 255ull}) {
-    const std::vector<Candidate> due = {{0, 0, &cold_fp, "cold"},
-                                        {1, waited, &hot_fp, "hot"}};
-    const auto pick = predict.Pick(due, table, waited, running);
-    EXPECT_EQ(pick.index, 1u) << waited;
-    EXPECT_TRUE(pick.predicted);
-  }
-  for (const uint64_t waited : {256ull, 300ull, 100000ull}) {
-    const std::vector<Candidate> due = {{0, 0, &cold_fp, "cold"},
-                                        {1, waited, &hot_fp, "hot"}};
-    EXPECT_EQ(predict.Pick(due, table, waited, running).index, 0u) << waited;
-  }
 }
 
 // --- Engine-level tests --------------------------------------------------------------
@@ -320,103 +239,6 @@ TEST(AdmissionPolicyEngineTest, ScoredFlagMarksOnlyContendedDecisions) {
   EXPECT_FALSE(engine.job(0).stats().admit_scored);  // Admitted into an empty engine.
   EXPECT_TRUE(a.stats().admit_scored);               // Won a contended decision.
   EXPECT_FALSE(b.stats().admit_scored);              // Lone candidate at its admission.
-  // Under overlap, nothing is ever forecast.
-  EXPECT_FALSE(a.stats().admit_predicted);
-  EXPECT_EQ(a.stats().predicted_overlap, 0.0);
-}
-
-TEST(AdmissionPolicyEngineTest, PredictLearnsWithinARunAndFlagsForecastAdmissions) {
-  const EdgeList edges = GenerateErdosRenyi(300, 2400, 61);
-  const VertexId source = PickSourceVertex(edges);
-  const PartitionedGraph pg = Partition(edges, 6);
-
-  EngineOptions options = test_support::TestEngineOptions();
-  options.admission_policy = AdmissionPolicyKind::kPredict;
-  options.max_jobs = 1;
-  LtpEngine engine(&pg, options);
-  // First wcc runs alone and seeds the "wcc" profile at completion; the repeat wcc and
-  // the bfs are both due when the slot frees, so that contended decision scores the
-  // repeat via the forecast (profile exists) and the bfs via the footprint fallback.
-  const LtpEngine::JobHandle first = engine.Submit(std::make_unique<WccProgram>());
-  const LtpEngine::JobHandle repeat = engine.Submit(std::make_unique<WccProgram>());
-  const LtpEngine::JobHandle traversal = engine.Submit(std::make_unique<BfsProgram>(source));
-  engine.RunUntilIdle();
-  EXPECT_TRUE(engine.footprint_history().HasProfile("wcc"));
-  EXPECT_TRUE(engine.footprint_history().HasProfile("bfs"));
-  EXPECT_FALSE(first.stats().admit_scored);  // Admitted into an empty engine.
-  // Both waiters were due at the same arrival step and tied at score 0 (the slot frees
-  // only when nothing is running), so FIFO order admits the repeat first — but through
-  // the forecast path, which the diagnostics must record.
-  EXPECT_TRUE(repeat.stats().admit_scored);
-  EXPECT_TRUE(repeat.stats().admit_predicted);
-  EXPECT_FALSE(traversal.stats().admit_scored);  // Lone candidate at its admission.
-}
-
-TEST(AdmissionPolicyEngineTest, SlotPoolPlacementJoinsTheOverlappingCohort) {
-  const EdgeList edges = GenerateErdosRenyi(250, 2000, 53);
-  const PartitionedGraph pg = Partition(edges, 6);
-
-  EngineOptions options = test_support::TestEngineOptions();
-  options.admission_policy = AdmissionPolicyKind::kPredict;
-  options.max_jobs = 4;
-  options.slot_pools = 2;  // Pools: slots {0, 1} and {2, 3}.
-  LtpEngine engine(&pg, options);
-  // Four full-coverage jobs: every later job overlaps every running cohort fully, so
-  // placement packs pool 0 first (ties and positive scores both resolve toward it),
-  // then spills to pool 1 when pool 0's slots are taken.
-  std::vector<LtpEngine::JobHandle> handles;
-  for (int i = 0; i < 4; ++i) {
-    handles.push_back(engine.Submit(std::make_unique<WccProgram>()));
-  }
-  for (const auto& h : handles) {
-    EXPECT_FALSE(h.done());  // All four admitted and running concurrently.
-  }
-  engine.RunUntilIdle();
-  EXPECT_EQ(handles[0].stats().admit_pool, 0u);  // Empty engine: first pool wins ties.
-  EXPECT_EQ(handles[1].stats().admit_pool, 0u);  // Joins the overlapping cohort.
-  EXPECT_EQ(handles[2].stats().admit_pool, 1u);  // Pool 0 full.
-  EXPECT_EQ(handles[3].stats().admit_pool, 1u);
-  for (const auto& h : handles) {
-    EXPECT_TRUE(h.done());
-  }
-
-  // Placement is a pure function of modeled state: repeated runs are identical.
-  auto run_waits = [&]() {
-    LtpEngine e(&pg, options);
-    for (int i = 0; i < 6; ++i) {
-      e.SubmitAt(std::make_unique<WccProgram>(), static_cast<uint64_t>(2 * i));
-    }
-    e.RunUntilIdle();
-    std::vector<std::pair<uint64_t, uint32_t>> out;
-    for (JobId id = 0; id < e.num_jobs(); ++id) {
-      out.emplace_back(e.job(id).stats().wait_steps, e.job(id).stats().admit_pool);
-    }
-    return out;
-  };
-  EXPECT_EQ(run_waits(), run_waits());
-}
-
-TEST(AdmissionPolicyEngineTest, PredictWithDistinctTypesMatchesOverlapSchedule) {
-  const EdgeList edges = GenerateErdosRenyi(400, 3600, 67);
-  const VertexId source = PickSourceVertex(edges);
-  const PartitionedGraph pg = Partition(edges, 8);
-
-  // Every submission is a distinct program type, so no waiter ever has completed
-  // history and predict falls back to the overlap score on every decision: the whole
-  // schedule must match the overlap policy's.
-  auto run = [&](AdmissionPolicyKind kind) {
-    EngineOptions options = test_support::TestEngineOptions();
-    options.admission_policy = kind;
-    options.max_jobs = 2;
-    LtpEngine engine(&pg, options);
-    engine.Submit(std::make_unique<PageRankProgram>(0.85, 1e-10));
-    engine.Submit(std::make_unique<WccProgram>());
-    engine.SubmitAt(std::make_unique<BfsProgram>(source), 5);
-    engine.SubmitAt(std::make_unique<SsspProgram>(source), 10);
-    engine.RunUntilIdle();
-    return NormalizedCsv(engine);
-  };
-  EXPECT_EQ(run(AdmissionPolicyKind::kOverlap), run(AdmissionPolicyKind::kPredict));
 }
 
 TEST(AdmissionPolicyEngineTest, StarvationFreeUnderStaggeredOverlappingArrivals) {

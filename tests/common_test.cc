@@ -96,6 +96,15 @@ TEST(StringsTest, ParseDouble) {
   EXPECT_FALSE(ParseDouble("", &d));
 }
 
+TEST(StringsTest, ParseDoubleRejectsNonFinite) {
+  double d = 7.0;
+  EXPECT_FALSE(ParseDouble("nan", &d));
+  EXPECT_FALSE(ParseDouble("inf", &d));
+  EXPECT_FALSE(ParseDouble("-inf", &d));
+  EXPECT_FALSE(ParseDouble("1e400", &d));  // Overflows double.
+  EXPECT_DOUBLE_EQ(d, 7.0);  // Rejected values leave *out untouched.
+}
+
 TEST(StringsTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(512), "512.00 B");
   EXPECT_EQ(HumanBytes(1536), "1.50 KiB");

@@ -93,16 +93,15 @@ TEST(PolicyInvarianceTest, EvictionPolicyDoesNotChangeResults) {
   }
 }
 
-TEST(PolicyInvarianceTest, EdgeAssignmentDoesNotChangeResults) {
+TEST(PolicyInvarianceTest, PartitionerDoesNotChangeResults) {
   const EdgeList& edges = TestEdges();
   const Graph g = Graph::FromEdges(edges);
   const VertexId source = PickSourceVertex(edges);
-  for (const auto assignment :
-       {EdgeAssignment::kChunkedEvenEdges, EdgeAssignment::kHashBySource}) {
+  for (const PartitionerKind kind : {PartitionerKind::kEvenEdge, PartitionerKind::kHashSource}) {
     PartitionOptions popts;
     popts.num_partitions = 8;
-    popts.assignment = assignment;
-    popts.core_subgraph = assignment == EdgeAssignment::kChunkedEvenEdges;
+    popts.partitioner = kind;
+    popts.core_subgraph = kind == PartitionerKind::kEvenEdge;
     const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
     EngineOptions options;
     options.num_workers = 4;

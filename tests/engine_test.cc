@@ -309,40 +309,6 @@ TEST(EngineTest, SnapshotJobsSeeTheirVersions) {
   }
 }
 
-// The frontier-aware word-scan sweep is an execution strategy, not a semantics change:
-// with a single worker the whole run is deterministic, so sparse and dense sweeps must
-// produce byte-identical reports (all modeled columns; wall clock excluded).
-TEST(EngineTest, SparseAndDenseTriggerSweepsProduceIdenticalReports) {
-  RmatOptions rmat;
-  rmat.scale = 10;
-  rmat.edge_factor = 8;
-  rmat.seed = 11;
-  const EdgeList edges = GenerateRmat(rmat);
-  const VertexId source = PickSourceVertex(edges);
-  const PartitionedGraph pg = Partition(edges, 12);
-  const CostModel cost;
-
-  auto run = [&](bool sparse) {
-    EngineOptions options = test_support::TestEngineOptions();
-    options.num_workers = 1;  // Single worker: fully deterministic float accumulation.
-    options.sparse_trigger = sparse;
-    LtpEngine engine(&pg, options);
-    engine.AddJob(std::make_unique<PageRankProgram>(0.85, 1e-10));
-    engine.AddJob(std::make_unique<SsspProgram>(source));
-    engine.AddJob(std::make_unique<WccProgram>());
-    engine.AddJob(std::make_unique<BfsProgram>(source));
-    engine.AddJob(std::make_unique<KCoreProgram>(4));
-    RunReport report = engine.Run();
-    for (JobStats& job : report.jobs) {
-      job.wall_seconds = 0.0;  // Wall clock is the one legitimately varying column.
-    }
-    report.wall_seconds = 0.0;
-    return RunReportToCsv(report, cost);
-  };
-
-  EXPECT_EQ(run(/*sparse=*/true), run(/*sparse=*/false));
-}
-
 // Forcing every bookkeeping sweep through the pool's batch dispatch (threshold 0) must
 // not change any modeled metric: counts are integer sums and the active bitmask is
 // written in disjoint words, so chunk order cannot matter.

@@ -225,7 +225,7 @@ TEST(HashPartitioningTest, EndToEndCorrectness) {
   const Graph g = Graph::FromEdges(edges);
   PartitionOptions popts;
   popts.num_partitions = 6;
-  popts.assignment = EdgeAssignment::kHashBySource;
+  popts.partitioner = PartitionerKind::kHashSource;
   popts.core_subgraph = false;
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
   EXPECT_EQ(pg.num_edges(), edges.num_edges());
@@ -240,7 +240,7 @@ TEST(HashPartitioningTest, OutEdgesOfAVertexStayTogether) {
   const EdgeList edges = GenerateErdosRenyi(200, 1600, 67);
   PartitionOptions popts;
   popts.num_partitions = 8;
-  popts.assignment = EdgeAssignment::kHashBySource;
+  popts.partitioner = PartitionerKind::kHashSource;
   popts.core_subgraph = false;
   const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
   // Every vertex's out-edges live in exactly one partition.

@@ -41,6 +41,17 @@ TEST(IoRobustnessTest, GarbageWeightRejected) {
   EXPECT_FALSE(LoadEdgeListText(f.path()).ok());
 }
 
+TEST(IoRobustnessTest, NonFiniteWeightRejected) {
+  // nan/inf never parse; 1e300 is a finite double but overflows the float Weight.
+  for (const char* weight : {"nan", "inf", "1e300"}) {
+    ScopedFile f("nonfinite.el", std::string("0 1 1\n0 2 ") + weight + "\n");
+    auto result = LoadEdgeListText(f.path());
+    ASSERT_FALSE(result.ok()) << weight;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << weight;
+    EXPECT_NE(result.status().message().find(":2:"), std::string::npos) << weight;
+  }
+}
+
 TEST(IoRobustnessTest, WeightOnlySomeLinesAccepted) {
   ScopedFile f("mixed.el", "0 1 2.5\n1 2\n");
   auto result = LoadEdgeListText(f.path());

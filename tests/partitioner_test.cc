@@ -135,8 +135,7 @@ TEST(PartitionerInvariantsTest, EvenEdgeChunksDifferByAtMostOne) {
 }
 
 // The builder must produce the identical layout whether the strategy arrives through
-// PartitionOptions::partitioner, the explicit Partitioner& overload, or (for
-// hash_source) the legacy EdgeAssignment enum.
+// PartitionOptions::partitioner or the explicit Partitioner& overload.
 TEST(PartitionerInvariantsTest, OptionsAndExplicitOverloadAgree) {
   const EdgeList edges = FixedRmat(8, 8, 5);
   for (const PartitionerKind kind : kAllPartitioners) {
@@ -147,17 +146,6 @@ TEST(PartitionerInvariantsTest, OptionsAndExplicitOverloadAgree) {
         PartitionedGraphBuilder::Build(edges, options, *MakePartitioner(kind)));
     EXPECT_EQ(via_options, via_overload) << PartitionerKindName(kind);
   }
-}
-
-TEST(PartitionerInvariantsTest, LegacyHashAssignmentSelectsHashSource) {
-  const EdgeList edges = FixedRmat(8, 8, 5);
-  PartitionOptions legacy;
-  legacy.num_partitions = 6;
-  legacy.assignment = EdgeAssignment::kHashBySource;
-  const PartitionedGraph via_legacy = PartitionedGraphBuilder::Build(edges, legacy);
-  EXPECT_EQ(via_legacy.quality().partitioner, PartitionerKind::kHashSource);
-  EXPECT_EQ(PartitionLayoutDigest(via_legacy),
-            PartitionLayoutDigest(BuildWith(edges, PartitionerKind::kHashSource, 6)));
 }
 
 // Hand-computed worked example: 4 vertices, edges (0,1),(0,2),(2,3),(3,0), two

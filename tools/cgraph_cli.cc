@@ -6,12 +6,10 @@
 //               seraph|seraph-vt|nxgraph|clip]
 //              [--partitions=N] [--partitioner=even_edge|hash_source|greedy|degree]
 //              [--workers=N] [--source=V] [--csv=PATH]
-//              [--theta-scale=X] [--no-straggler] [--dense-trigger] [--chunk-grain=N]
+//              [--theta-scale=X] [--no-straggler] [--chunk-grain=N]
 //              [--sweep-threshold=N] [--arrivals=NAME@STEP[,NAME@STEP...]]
-//              [--admission=fifo|overlap|predict] [--aging=X] [--max-jobs=N]
+//              [--admission=fifo|overlap] [--aging=X] [--max-jobs=N]
 //              [--execution=bsp|async] [--staleness=N] [--defer-divisor=N]
-//              [--drain-limit=N]
-//              [--history-decay=X] [--history-buckets=N] [--slot-pools=N]
 //              [--trigger-threshold=N]
 //              [--serve] [--trace-jobs=N] [--trace-pattern=uniform|bursty|diurnal]
 //              [--trace-seed=N] [--trace-gap=N] [--trace-burst=N] [--trace-sources=N]
@@ -45,7 +43,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -86,19 +83,14 @@ struct CliOptions {
   VertexId source = kInvalidVertex;  // Default: highest out-degree vertex.
   double theta_scale = 1.0;
   bool straggler_split = true;
-  bool sparse_trigger = true;
   uint32_t chunk_grain = 0;       // 0 = engine default.
   int64_t sweep_threshold = -1;   // < 0 = engine default.
   AdmissionPolicyKind admission = AdmissionPolicyKind::kFifo;
   ExecutionMode execution = ExecutionMode::kBsp;
   int64_t staleness = -1;         // < 0 = engine default.
   int64_t defer_divisor = -1;     // < 0 = engine default.
-  int64_t drain_limit = -1;       // < 0 = engine default.
   double aging = -1.0;            // < 0 = engine default.
   uint32_t max_jobs = 0;          // 0 = engine default.
-  double history_decay = -1.0;    // < 0 = engine default.
-  uint32_t history_buckets = 0;   // 0 = engine default.
-  uint32_t slot_pools = 0;        // 0 = engine default.
   int64_t trigger_threshold = -1; // < 0 = engine default.
   std::string csv_path;
   bool help = false;
@@ -215,17 +207,13 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       }
       options->source = static_cast<VertexId>(source);
     } else if (match("--theta-scale=")) {
-      char* end = nullptr;
-      options->theta_scale = std::strtod(value, &end);
-      if (end == value || *end != '\0' || options->theta_scale < 0.0 ||
+      if (!ParseDouble(value, &options->theta_scale) || options->theta_scale < 0.0 ||
           options->theta_scale > 1.0) {
         std::fprintf(stderr, "error: --theta-scale expects a number in [0, 1]\n");
         return false;
       }
     } else if (arg == "--no-straggler") {
       options->straggler_split = false;
-    } else if (arg == "--dense-trigger") {
-      options->sparse_trigger = false;
     } else if (match("--sweep-threshold=")) {
       uint64_t threshold = 0;
       if (!ParseUint64(value, &threshold) || threshold > 0xFFFFFFFFull) {
@@ -242,7 +230,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       options->chunk_grain = static_cast<uint32_t>(grain);
     } else if (match("--admission=")) {
       if (!ParseAdmissionPolicyName(value, &options->admission)) {
-        std::fprintf(stderr, "error: --admission expects fifo, overlap, or predict\n");
+        std::fprintf(stderr, "error: --admission expects fifo or overlap\n");
         return false;
       }
     } else if (match("--execution=")) {
@@ -268,19 +256,8 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         return false;
       }
       options->defer_divisor = static_cast<int64_t>(divisor);
-    } else if (match("--drain-limit=")) {
-      uint64_t limit = 0;
-      if (!ParseUint64(value, &limit) || limit > 0xFFFFFFFFu) {
-        std::fprintf(stderr,
-                     "error: --drain-limit expects an active-vertex count in "
-                     "[0, 4294967295] (0 = always re-drain)\n");
-        return false;
-      }
-      options->drain_limit = static_cast<int64_t>(limit);
     } else if (match("--aging=")) {
-      char* end = nullptr;
-      options->aging = std::strtod(value, &end);
-      if (end == value || *end != '\0' || options->aging <= 0.0) {
+      if (!ParseDouble(value, &options->aging) || options->aging <= 0.0) {
         std::fprintf(stderr, "error: --aging expects a positive score-per-step weight\n");
         return false;
       }
@@ -291,28 +268,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         return false;
       }
       options->max_jobs = static_cast<uint32_t>(max_jobs);
-    } else if (match("--history-decay=")) {
-      char* end = nullptr;
-      options->history_decay = std::strtod(value, &end);
-      if (end == value || *end != '\0' || options->history_decay < 0.0 ||
-          options->history_decay > 1.0) {
-        std::fprintf(stderr, "error: --history-decay expects a number in [0, 1]\n");
-        return false;
-      }
-    } else if (match("--history-buckets=")) {
-      uint64_t buckets = 0;
-      if (!ParseUint64(value, &buckets) || buckets == 0 || buckets > 0xFFFFu) {
-        std::fprintf(stderr, "error: --history-buckets expects a count in [1, 65535]\n");
-        return false;
-      }
-      options->history_buckets = static_cast<uint32_t>(buckets);
-    } else if (match("--slot-pools=")) {
-      uint64_t pools = 0;
-      if (!ParseUint64(value, &pools) || pools == 0 || pools > 0xFFFFu) {
-        std::fprintf(stderr, "error: --slot-pools expects a count in [1, 65535]\n");
-        return false;
-      }
-      options->slot_pools = static_cast<uint32_t>(pools);
     } else if (match("--arrivals=")) {
       for (const auto piece : SplitNonEmpty(value, ",")) {
         const size_t at = piece.find('@');
@@ -553,8 +508,6 @@ void PrintUsage() {
       "                        a localized footprint; pass a hub id to fan out wide)\n"
       "  --theta-scale=X       scale Eq. 1's theta in [0,1] (default 1; 0 = pure N(P))\n"
       "  --no-straggler        disable straggler splitting (one task per job)\n"
-      "  --dense-trigger       disable frontier-aware sweeps (dense per-vertex loop;\n"
-      "                        ablation — modeled metrics are identical either way)\n"
       "  --chunk-grain=N       vertices per stolen work chunk (default 256)\n"
       "  --sweep-threshold=N   min partition vertices before bookkeeping sweeps use the\n"
       "                        thread pool (default 8192; 0 always parallel)\n"
@@ -562,11 +515,8 @@ void PrintUsage() {
       "                        (cgraph systems only)\n"
       "  --admission=NAME      job-level admission policy (cgraph systems only):\n"
       "                        fifo (default), overlap (admit the due waiter sharing\n"
-      "                        most initially-active partitions with the running set),\n"
-      "                        or predict (score by forecast lifetime overlap learned\n"
-      "                        from completed jobs of the same type; falls back to\n"
-      "                        overlap scoring for types with no history)\n"
-      "  --aging=X             overlap/predict score bonus per waited step (default\n"
+      "                        most initially-active partitions with the running set)\n"
+      "  --aging=X             overlap score bonus per waited step (default\n"
       "                        1/256; only jobs arriving within 1/X steps of a due\n"
       "                        waiter can overtake it)\n"
       "  --max-jobs=N          concurrency slots before admission queues (default 64)\n"
@@ -582,16 +532,6 @@ void PrintUsage() {
       "  --defer-divisor=N     async adaptive-deferral heat threshold: a boundary only\n"
       "                        defers while fresh master records >= replicated/N\n"
       "                        (default 1; 0 = always defer up to the staleness bound)\n"
-      "  --drain-limit=N       async re-drain gate: drain a partition only when its\n"
-      "                        active count is <= N (default 0 = always drain eligible\n"
-      "                        programs)\n"
-      "  --history-decay=X     footprint-history decay in [0,1] (default 0.5): profile\n"
-      "                        contributions are scaled by X before each new completion\n"
-      "                        folds in (1 = plain mean, 0 = latest job only)\n"
-      "  --history-buckets=N   lifetime buckets of the occupancy profile (default 8)\n"
-      "  --slot-pools=N        admission-time placement: partition the slots into N\n"
-      "                        pools and admit each job into the pool its predicted\n"
-      "                        footprint overlaps most (default 1 = legacy placement)\n"
       "  --trigger-threshold=N min active vertices in a trigger batch before it\n"
       "                        dispatches through the thread pool (default 4096;\n"
       "                        0 always dispatches)\n"
@@ -753,7 +693,6 @@ int main(int argc, char** argv) {
   engine_options.num_workers = options.workers;
   engine_options.theta_scale = options.theta_scale;
   engine_options.straggler_split = options.straggler_split;
-  engine_options.sparse_trigger = options.sparse_trigger;
   if (options.chunk_grain > 0) {
     engine_options.chunk_grain = options.chunk_grain;
   }
@@ -769,23 +708,11 @@ int main(int argc, char** argv) {
   if (options.defer_divisor >= 0) {
     engine_options.async_defer_divisor = static_cast<uint32_t>(options.defer_divisor);
   }
-  if (options.drain_limit >= 0) {
-    engine_options.async_drain_limit = static_cast<uint32_t>(options.drain_limit);
-  }
   if (options.aging > 0.0) {
     engine_options.admission_aging = options.aging;
   }
   if (options.max_jobs > 0) {
     engine_options.max_jobs = options.max_jobs;
-  }
-  if (options.history_decay >= 0.0) {
-    engine_options.history_decay = options.history_decay;
-  }
-  if (options.history_buckets > 0) {
-    engine_options.history_buckets = options.history_buckets;
-  }
-  if (options.slot_pools > 0) {
-    engine_options.slot_pools = options.slot_pools;
   }
   if (options.trigger_threshold >= 0) {
     engine_options.parallel_trigger_threshold =
@@ -1016,9 +943,7 @@ int main(int argc, char** argv) {
     uint64_t max_wait = 0;
     size_t waited = 0;
     size_t scored = 0;
-    size_t predicted = 0;
     double scored_overlap = 0.0;
-    double predicted_overlap = 0.0;
     for (const auto& job : report.jobs) {
       total_wait += job.wait_steps;
       max_wait = std::max(max_wait, job.wait_steps);
@@ -1027,22 +952,16 @@ int main(int argc, char** argv) {
         ++scored;
         scored_overlap += job.admit_overlap;
       }
-      if (job.admit_predicted) {
-        ++predicted;
-        predicted_overlap += job.predicted_overlap;
-      }
     }
     const double mean_wait =
         report.jobs.empty() ? 0.0
                             : static_cast<double>(total_wait) / static_cast<double>(report.jobs.size());
     std::printf(
         "admission: policy=%s mean_wait_steps=%.4f max_wait_steps=%llu waited_jobs=%zu "
-        "scored_jobs=%zu mean_admit_overlap=%.4f predicted_jobs=%zu "
-        "mean_predicted_overlap=%.4f\n",
+        "scored_jobs=%zu mean_admit_overlap=%.4f\n",
         std::string(AdmissionPolicyKindName(options.admission)).c_str(), mean_wait,
         static_cast<unsigned long long>(max_wait), waited, scored,
-        scored == 0 ? 0.0 : scored_overlap / static_cast<double>(scored), predicted,
-        predicted == 0 ? 0.0 : predicted_overlap / static_cast<double>(predicted));
+        scored == 0 ? 0.0 : scored_overlap / static_cast<double>(scored));
     PrintExecutionLine(report, engine_options);
     if (!engine_options.fault_specs.empty() || engine_options.checkpoint_every > 0) {
       PrintRobustnessLine(faults_fired, report, cost);

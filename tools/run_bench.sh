@@ -13,8 +13,8 @@
 # are identical across runs and worker counts by construction (asserted by the engine's
 # tests), so they are taken from the last run.
 #
-# The record additionally carries an "admission" section comparing the fifo, overlap,
-# and predict job-admission policies (docs/scheduling.md) on a staggered-arrival
+# The record additionally carries an "admission" section comparing the fifo and overlap
+# job-admission policies (docs/scheduling.md) on a staggered-arrival
 # overlapping job mix with a constrained slot pool: per-policy mean/max wait steps
 # (deterministic for a fixed workload), scored-admission overlap means (only contended
 # decisions are scored; unscored jobs are excluded from the mean), wall seconds, and
@@ -40,17 +40,19 @@
 #
 # A "partition" section (docs/partitioning.md) records the build-time quality indices
 # (edge-cut fraction, replication factor, mirror count, edge/vertex balance) of every
-# edge-placement strategy on the headline graph, plus a partitioner x admission-policy
-# ablation on the admission workload: the layout decides which partitions each job's
-# footprint touches, so the policies' reordering room shifts with the partitioner. All
-# fields are modeled — exact and machine-independent.
+# edge-placement strategy on the headline graph. All fields are modeled — exact and
+# machine-independent.
+#
+# Every section runs the CLI against its own scratch files, so no section can overwrite
+# the headline workload's report; the script fails if the headline's job count differs
+# from the configured $JOBS + $ARRIVALS.
 #
 # Usage: tools/run_bench.sh [BUILD_DIR] (default: build/release-all, configured on demand)
 # Env:   OUT=path/to/record.json   override the output path (default: BENCH_ltp.json)
 #        SMOKE=1                   skip the full sweep; run the deterministic CI gates:
-#                                  (1) admission policy ladder — overlap must reduce
-#                                  mean wait steps vs fifo, predict further vs overlap
-#                                  (modeled, exact); (2) multi-worker scaling — the
+#                                  (1) admission policy — overlap must reduce mean
+#                                  wait steps vs fifo (modeled, exact); (2) multi-worker
+#                                  scaling — the
 #                                  workers=4 median wall must not exceed the workers=1
 #                                  median by more than 5% (guards the oversubscription
 #                                  regression where extra workers cost throughput);
@@ -84,10 +86,8 @@ WORKERS_SWEEP="1 4"
 RUNS_PER_POINT=3
 
 # Admission-comparison workload: two full-coverage jobs hold both slots while a
-# staggered queue of repeated traversal and full-coverage jobs builds up, so the
-# footprint-aware policies have real reordering room and the predict policy sees
-# completed history for every queued type (each repeats an earlier submission).
-# Traversals root at the default source — deterministically the lowest-positive-
+# staggered queue of traversal and full-coverage jobs builds up, so the footprint-aware
+# policy has real reordering room. Traversals root at the default source — deterministically the lowest-positive-
 # out-degree vertex, so their footprints stay localized instead of replicating
 # hub-style into every partition. Wait steps are a pure function of the modeled
 # schedule: identical across runs, machines, and worker counts.
@@ -128,13 +128,17 @@ fi
 # Always refresh the CLI: an existing binary may predate flags this script uses.
 cmake --build "$BUILD_DIR" -j --target cgraph_cli >/dev/null
 
-CSV=$(mktemp)
-WALLS=$(mktemp)
-ADMISSION=$(mktemp)
-ADM_POINT=$(mktemp)
-ADM_CSV=$(mktemp)
-SERVICE=$(mktemp)
-trap 'rm -f "$CSV" "$WALLS" "$ADMISSION" "$ADM_POINT" "$ADM_CSV" "$SERVICE"' EXIT
+# Scratch files, one set per section: CSV is the headline workload's report and nothing
+# else writes it.
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
+CSV=$TMP/headline.csv
+WALLS=$TMP/walls
+ADMISSION=$TMP/admission.json
+ADM_POINT=$TMP/admission.point
+ADM_CSV=$TMP/admission.csv
+SERVICE=$TMP/service.json
+EXEC_CSV=$TMP/execution.csv
 
 # CSV columns: executor,job,iterations,vertex_computes,edge_traversals,push_updates,
 # compute_units,hit_bytes,mem_bytes,disk_bytes,modeled_compute,modeled_access,
@@ -204,8 +208,8 @@ run_service_median() {  # args forwarded to run_service
 
 run_exec() {  # $1 = workers, $2... = extra flags; prints "cu push mtime wall" (total row)
   "$BUILD_DIR/tools/cgraph_cli" --rmat="$RMAT" --jobs="$EXEC_JOBS" \
-    --partitions="$EXEC_PARTITIONS" --workers="$1" --csv="$CSV" "${@:2}" >/dev/null
-  awk -F, '$2 == "total" { print $7, $6, $13, $14 }' "$CSV"
+    --partitions="$EXEC_PARTITIONS" --workers="$1" --csv="$EXEC_CSV" "${@:2}" >/dev/null
+  awk -F, '$2 == "total" { print $7, $6, $13, $14 }' "$EXEC_CSV"
 }
 
 if [ "${SMOKE:-0}" = "1" ]; then
@@ -216,27 +220,19 @@ if [ "${SMOKE:-0}" = "1" ]; then
   read -r FIFO_MEAN FIFO_MAX FIFO_SCORED FIFO_OVERLAP FIFO_WALL < "$ADM_POINT"
   run_admission overlap 1 > "$ADM_POINT"
   read -r OV_MEAN OV_MAX OV_SCORED OV_OVERLAP OV_WALL < "$ADM_POINT"
-  run_admission predict 1 > "$ADM_POINT"
-  read -r PR_MEAN PR_MAX PR_SCORED PR_OVERLAP PR_WALL < "$ADM_POINT"
   echo "admission smoke (workers=1): fifo mean_wait=$FIFO_MEAN max=$FIFO_MAX;" \
-       "overlap mean_wait=$OV_MEAN max=$OV_MAX;" \
-       "predict mean_wait=$PR_MEAN max=$PR_MAX"
+       "overlap mean_wait=$OV_MEAN max=$OV_MAX"
   awk -v f="$FIFO_MEAN" -v o="$OV_MEAN" 'BEGIN { exit (o < f) ? 0 : 1 }' || {
     echo "FAIL: overlap admission no longer reduces mean wait steps vs fifo" >&2
     exit 1
   }
-  awk -v o="$OV_MEAN" -v p="$PR_MEAN" 'BEGIN { exit (p < o) ? 0 : 1 }' || {
-    echo "FAIL: predict admission no longer reduces mean wait steps vs overlap" >&2
-    exit 1
-  }
-  # FIFO never scores an admission; the footprint-aware policies must have scored the
+  # FIFO never scores an admission; the footprint-aware policy must have scored the
   # contended ones (the scored flag separates those from unscored zero-overlap jobs).
-  if [ "$FIFO_SCORED" != "0" ] || [ "$OV_SCORED" = "0" ] || [ "$PR_SCORED" = "0" ]; then
-    echo "FAIL: scored-admission counts are wrong (fifo=$FIFO_SCORED overlap=$OV_SCORED predict=$PR_SCORED)" >&2
+  if [ "$FIFO_SCORED" != "0" ] || [ "$OV_SCORED" = "0" ]; then
+    echo "FAIL: scored-admission counts are wrong (fifo=$FIFO_SCORED overlap=$OV_SCORED)" >&2
     exit 1
   fi
-  echo "OK: overlap reduces mean wait steps ($FIFO_MEAN -> $OV_MEAN)," \
-       "predict reduces them further ($OV_MEAN -> $PR_MEAN)"
+  echo "OK: overlap reduces mean wait steps ($FIFO_MEAN -> $OV_MEAN)"
 
   # Scaling gate: more workers must never cost throughput. Median-of-3 per point; the
   # 5% tolerance absorbs CI wall noise without letting a real oversubscription
@@ -245,12 +241,12 @@ if [ "${SMOKE:-0}" = "1" ]; then
   SCALE_W1=""
   SCALE_W4=""
   for W in 1 4; do
-    POINT=$(mktemp)
+    POINT=$TMP/point
+    : > "$POINT"
     for _ in $(seq "$RUNS_PER_POINT"); do
       run_point "$W" >> "$POINT"
     done
     MEDIAN=$(sort -g "$POINT" | awk -v n="$RUNS_PER_POINT" 'NR == int((n + 1) / 2)')
-    rm -f "$POINT"
     if [ "$W" = 1 ]; then SCALE_W1=$MEDIAN; else SCALE_W4=$MEDIAN; fi
   done
   echo "scaling smoke: workers=1 median ${SCALE_W1}s, workers=4 median ${SCALE_W4}s"
@@ -306,7 +302,8 @@ if [ "${SMOKE:-0}" = "1" ]; then
   # columns 1-13; the wall-clock column is excluded), and the greedy streaming
   # placement must strictly beat even_edge on replication factor. Both checks are
   # modeled — exact and machine-independent.
-  PART_DIR=$(mktemp -d)
+  PART_DIR=$TMP/partition
+  mkdir -p "$PART_DIR"
   "$BUILD_DIR/tools/cgraph_cli" --rmat="$RMAT" --jobs="$JOBS" --arrivals="$ARRIVALS" \
     --partitions="$PARTITIONS" --workers=1 --csv="$PART_DIR/default.csv" \
     > "$PART_DIR/default.out"
@@ -316,13 +313,11 @@ if [ "${SMOKE:-0}" = "1" ]; then
   if ! diff <(cut -d, -f1-13 "$PART_DIR/default.csv") \
             <(cut -d, -f1-13 "$PART_DIR/even_edge.csv") >/dev/null; then
     echo "FAIL: --partitioner=even_edge is not byte-identical to the default layout" >&2
-    rm -rf "$PART_DIR"
     exit 1
   fi
   EE_LINE=$(grep '^partition:' "$PART_DIR/default.out")
   GR_LINE=$("$BUILD_DIR/tools/cgraph_cli" --rmat="$RMAT" --jobs=bfs \
-    --partitions="$PARTITIONS" --partitioner=greedy --csv="$CSV" | grep '^partition:')
-  rm -rf "$PART_DIR"
+    --partitions="$PARTITIONS" --partitioner=greedy | grep '^partition:')
   EE_RF=$(svc_field "$EE_LINE" replication_factor)
   GR_RF=$(svc_field "$GR_LINE" replication_factor)
   echo "partition smoke: even_edge replication_factor=$EE_RF greedy=$GR_RF"
@@ -337,13 +332,13 @@ fi
 
 : > "$WALLS"  # Lines of "<workers> <median_wall>".
 for W in $WORKERS_SWEEP; do
-  POINT=$(mktemp)
+  POINT=$TMP/point
+  : > "$POINT"
   for _ in $(seq "$RUNS_PER_POINT"); do
     run_point "$W" >> "$POINT"
   done
   MEDIAN=$(sort -g "$POINT" | awk -v n="$RUNS_PER_POINT" 'NR == int((n + 1) / 2)')
   echo "$W $MEDIAN" >> "$WALLS"
-  rm -f "$POINT"
 done
 
 # Admission comparison at the headline worker count.
@@ -351,8 +346,6 @@ run_admission fifo 4 > "$ADM_POINT"
 read -r FIFO_MEAN FIFO_MAX FIFO_SCORED FIFO_OVERLAP FIFO_WALL < "$ADM_POINT"
 run_admission overlap 4 > "$ADM_POINT"
 read -r OV_MEAN OV_MAX OV_SCORED OV_OVERLAP OV_WALL < "$ADM_POINT"
-run_admission predict 4 > "$ADM_POINT"
-read -r PR_MEAN PR_MAX PR_SCORED PR_OVERLAP PR_WALL < "$ADM_POINT"
 # Jobs in the admission workload, derived from its report (per-job CSV rows) so the
 # count cannot drift from ADM_JOBS/ADM_ARRIVALS edits.
 ADM_NUM_JOBS=$(awk -F, 'NR > 1 && $2 != "total"' "$ADM_CSV" | wc -l)
@@ -367,8 +360,7 @@ emit_policy() {  # $1 name, $2 mean, $3 max, $4 scored, $5 overlap, $6 wall, $7 
          "$ADM_RMAT" "$ADM_JOBS" "$ADM_ARRIVALS"
   printf '"partitions": %d, "max_jobs": %d, "workers": 4},\n' "$ADM_PARTITIONS" "$ADM_MAX_JOBS"
   emit_policy fifo "$FIFO_MEAN" "$FIFO_MAX" "$FIFO_SCORED" "$FIFO_OVERLAP" "$FIFO_WALL" ","
-  emit_policy overlap "$OV_MEAN" "$OV_MAX" "$OV_SCORED" "$OV_OVERLAP" "$OV_WALL" ","
-  emit_policy predict "$PR_MEAN" "$PR_MAX" "$PR_SCORED" "$PR_OVERLAP" "$PR_WALL" ""
+  emit_policy overlap "$OV_MEAN" "$OV_MAX" "$OV_SCORED" "$OV_OVERLAP" "$OV_WALL" ""
   printf '  },\n'
 } > "$ADMISSION"
 
@@ -406,9 +398,9 @@ SVC_LINE=$(run_service_median 4)
 # schedule-invariant compute columns (CSV fields 1-7) and the converged values (the
 # mix is min-accumulator only, so equality is exact). The overhead ratio is from a
 # separate clean run at the documented K=8 cadence. Everything here is modeled.
-ROBUSTNESS=$(mktemp)
-ROB_DIR=$(mktemp -d)
-trap 'rm -f "$CSV" "$WALLS" "$ADMISSION" "$ADM_POINT" "$ADM_CSV" "$SERVICE" "$ROBUSTNESS"; rm -rf "$ROB_DIR"' EXIT
+ROBUSTNESS=$TMP/robustness.json
+ROB_DIR=$TMP/robustness
+mkdir -p "$ROB_DIR"
 ROB_JOBS="sssp,wcc,bfs"
 ROB_FAULT="trigger@60:1"
 ROB_CHECKPOINT_EVERY=2
@@ -448,9 +440,8 @@ ROB_OVERHEAD=$("$BUILD_DIR/tools/cgraph_cli" --rmat="$SVC_RMAT" --jobs="$ROB_JOB
 # last run); walls are median-of-3. The async diagnostics come from the CLI's
 # parseable "execution:" line, and the async service replay reuses the daemon workload
 # with an all-monotonic request mix.
-EXECUTION=$(mktemp)
-trap 'rm -f "$CSV" "$WALLS" "$ADMISSION" "$ADM_POINT" "$ADM_CSV" "$SERVICE" "$ROBUSTNESS" "$EXECUTION"; rm -rf "$ROB_DIR"' EXIT
-EXEC_POINT=$(mktemp)
+EXECUTION=$TMP/execution.json
+EXEC_POINT=$TMP/execution.point
 : > "$EXEC_POINT"
 for _ in $(seq "$RUNS_PER_POINT"); do
   run_exec 4 >> "$EXEC_POINT"
@@ -469,13 +460,12 @@ AS_PUSH=$(awk 'NR == 1 { print $2 }' "$EXEC_POINT")
 AS_MTIME=$(awk 'NR == 1 { print $3 }' "$EXEC_POINT")
 AS_WALL=$(awk '{ print $4 }' "$EXEC_POINT" | sort -g |
           awk -v n="$RUNS_PER_POINT" 'NR == int((n + 1) / 2)')
-rm -f "$EXEC_POINT"
 EXEC_LINE=$("$BUILD_DIR/tools/cgraph_cli" --rmat="$RMAT" --jobs="$EXEC_JOBS" \
   --partitions="$EXEC_PARTITIONS" --workers=4 --execution=async \
-  --staleness="$EXEC_STALENESS" --csv="$CSV" | grep '^execution:')
+  --staleness="$EXEC_STALENESS" --csv="$EXEC_CSV" | grep '^execution:')
 EXEC_SVC_LINE=$(run_service_median 4 --jobs="$EXEC_SVC_JOBS" --execution=async \
   --staleness="$EXEC_STALENESS")
-EXEC_NUM_JOBS=$(awk -F, 'NR > 1 && $2 != "total"' "$CSV" | wc -l)
+EXEC_NUM_JOBS=$(awk -F, 'NR > 1 && $2 != "total"' "$EXEC_CSV" | wc -l)
 {
   printf '  "execution": {\n'
   printf '    "config": {"rmat": "%s", "jobs": "%s", "partitions": %d, "workers": 4, ' \
@@ -504,59 +494,39 @@ EXEC_NUM_JOBS=$(awk -F, 'NR > 1 && $2 != "total"' "$CSV" | wc -l)
 } > "$EXECUTION"
 
 # Partition-quality record (docs/partitioning.md): every strategy's build-time quality
-# indices on the headline graph, plus a partitioner x admission-policy ablation on the
-# admission workload. Everything here is modeled — exact and machine-independent (the
-# quality indices are pure functions of the deterministic layout; admission wait steps
-# are a pure function of the modeled schedule).
-PARTITION=$(mktemp)
-PART_CSV=$(mktemp)
-trap 'rm -f "$CSV" "$WALLS" "$ADMISSION" "$ADM_POINT" "$ADM_CSV" "$SERVICE" "$ROBUSTNESS" "$EXECUTION" "$PARTITION" "$PART_CSV"; rm -rf "$ROB_DIR"' EXIT
-part_quality_line() {  # $1 = partitioner; prints the CLI's "partition:" summary line
-  # A dedicated CSV keeps "$CSV" (read by the headline record below) untouched.
-  "$BUILD_DIR/tools/cgraph_cli" --rmat="$RMAT" --jobs=bfs --partitions="$PARTITIONS" \
-    --partitioner="$1" --csv="$PART_CSV" | grep '^partition:'
-}
+# indices on the headline graph. The indices are pure functions of the deterministic
+# layout — exact and machine-independent.
+PARTITION=$TMP/partition.json
 emit_quality() {  # $1 = partitioner, $2 = trailing comma
   local line
-  line=$(part_quality_line "$1")
+  line=$("$BUILD_DIR/tools/cgraph_cli" --rmat="$RMAT" --jobs=bfs --partitions="$PARTITIONS" \
+    --partitioner="$1" | grep '^partition:')
   printf '      "%s": {"edge_cut_fraction": %s, "replication_factor": %s, "mirror_count": %s, "edge_balance": %s, "vertex_balance": %s}%s\n' \
     "$1" "$(svc_field "$line" edge_cut_fraction)" \
     "$(svc_field "$line" replication_factor)" "$(svc_field "$line" mirror_count)" \
     "$(svc_field "$line" edge_balance)" "$(svc_field "$line" vertex_balance)" "$2"
 }
-emit_part_adm() {  # $1 = partitioner, $2 = trailing comma
-  local pol sep mean max scored overlap wall
-  printf '      "%s": {' "$1"
-  sep=""
-  for pol in fifo overlap predict; do
-    run_admission "$pol" 1 --partitioner="$1" > "$ADM_POINT"
-    read -r mean max scored overlap wall < "$ADM_POINT"
-    printf '%s"%s": {"mean_wait_steps": %s, "max_wait_steps": %s, "wall_seconds": %s}' \
-      "$sep" "$pol" "$mean" "$max" "$wall"
-    sep=", "
-  done
-  printf '}%s\n' "$2"
-}
 {
   printf '  "partition": {\n'
-  printf '    "config": {"rmat": "%s", "partitions": %d, ' "$RMAT" "$PARTITIONS"
-  printf '"admission": {"rmat": "%s", "jobs": "%s", "arrivals": "%s", "partitions": %d, "max_jobs": %d, "workers": 1}},\n' \
-         "$ADM_RMAT" "$ADM_JOBS" "$ADM_ARRIVALS" "$ADM_PARTITIONS" "$ADM_MAX_JOBS"
+  printf '    "config": {"rmat": "%s", "partitions": %d},\n' "$RMAT" "$PARTITIONS"
   printf '    "quality": {\n'
   emit_quality even_edge ","
   emit_quality hash_source ","
   emit_quality greedy ","
   emit_quality degree ""
-  printf '    },\n'
-  printf '    "admission_ablation": {\n'
-  emit_part_adm even_edge ","
-  emit_part_adm greedy ","
-  emit_part_adm degree ""
   printf '    }\n'
   printf '  }\n'
 } > "$PARTITION"
 
-# $CSV still holds the last (workers=4) sweep run; modeled columns are run-invariant.
+# $CSV holds the last (workers=4) headline sweep run — no other section writes it —
+# and its modeled columns are run-invariant. Guard that invariant: the report must
+# carry exactly one row per configured job.
+CONFIGURED_JOBS=$(tr ',' '\n' <<<"$JOBS,$ARRIVALS" | grep -c .)
+HEADLINE_JOBS=$(awk -F, 'NR > 1 && $2 != "total"' "$CSV" | wc -l)
+if [ "$HEADLINE_JOBS" -ne "$CONFIGURED_JOBS" ]; then
+  echo "FAIL: headline report has $HEADLINE_JOBS jobs, configured $CONFIGURED_JOBS" >&2
+  exit 1
+fi
 awk -F, -v rmat="$RMAT" -v jobs="$JOBS" -v arrivals="$ARRIVALS" \
     -v partitions="$PARTITIONS" -v sweep="$WORKERS_SWEEP" -v runs="$RUNS_PER_POINT" \
     -v walls_file="$WALLS" '
