@@ -32,6 +32,7 @@ Weight DrawWeight(double max_weight, Xoshiro256& rng) {
 
 EdgeList GenerateRmat(const RmatOptions& options) {
   CGRAPH_CHECK(options.a + options.b + options.c <= 1.0 + 1e-9);
+  CGRAPH_CHECK(options.scale < 32);  // VertexId is 32-bit.
   const VertexId n = VertexId{1} << options.scale;
   const uint64_t m = static_cast<uint64_t>(options.edge_factor) * n;
   Xoshiro256 rng(options.seed);

@@ -26,29 +26,16 @@ std::string RunReportToCsv(const RunReport& report, const CostModel& model) {
   for (const JobStats& job : report.jobs) {
     AppendJobRow(out, report.executor_name, job, model, report.workers);
   }
-  JobStats total;
-  total.job_name = "total";
-  for (const JobStats& job : report.jobs) {
-    total.iterations += job.iterations;
-    total.vertex_computes += job.vertex_computes;
-    total.edge_traversals += job.edge_traversals;
-    total.push_updates += job.push_updates;
-    total.compute_units += job.compute_units;
-    total.charge += job.charge;
-  }
-  total.wall_seconds = report.wall_seconds;
-  AppendJobRow(out, report.executor_name, total, model, report.workers);
+  AppendJobRow(out, report.executor_name, report.Total(), model, report.workers);
   return out.str();
 }
 
-Status WriteRunReportCsv(const RunReport& report, const CostModel& model,
-                         const std::string& path) {
+Status WriteTextFile(const std::string& path, std::string_view contents) {
   std::ofstream out(path);
   if (!out) {
     return Status::Internal("cannot open " + path + " for writing");
   }
-  const std::string csv = RunReportToCsv(report, model);
-  out.write(csv.data(), static_cast<std::streamsize>(csv.size()));
+  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
   out.flush();
   if (!out) {
     return Status::Internal("write failed for " + path);

@@ -1,9 +1,10 @@
-// CSV serialization of run reports, for piping bench output into plotting scripts.
+// CSV serialization of run reports, and the checked file writer for report documents.
 
 #ifndef SRC_METRICS_CSV_WRITER_H_
 #define SRC_METRICS_CSV_WRITER_H_
 
 #include <string>
+#include <string_view>
 
 #include "src/common/status.h"
 #include "src/metrics/run_report.h"
@@ -16,9 +17,9 @@ namespace cgraph {
 //   wall_seconds
 std::string RunReportToCsv(const RunReport& report, const CostModel& model);
 
-// Writes the CSV (with header) to `path`.
-Status WriteRunReportCsv(const RunReport& report, const CostModel& model,
-                         const std::string& path);
+// Writes `contents` to `path`, replacing the file; fails if it cannot be opened or
+// fully written.
+Status WriteTextFile(const std::string& path, std::string_view contents);
 
 }  // namespace cgraph
 

@@ -96,9 +96,25 @@ struct RunReport {
   MemoryStats memory;
   double wall_seconds = 0.0;
   // Layout-quality record of the graph the run executed on (copied from
-  // PartitionedGraph::quality() by Report(); not part of the CSV schema — surfaced by
-  // the CLI's `partition:` summary line and the bench's `partition` JSON section).
+  // PartitionedGraph::quality() by Report(); not part of the CSV schema — surfaced in
+  // the `partition` object of cgraph_cli --report-json and the bench record).
   PartitionQuality partition;
+
+  // The report's "total" row: every per-job counter summed, with the run's wall clock.
+  JobStats Total() const {
+    JobStats total;
+    total.job_name = "total";
+    for (const JobStats& job : jobs) {
+      total.iterations += job.iterations;
+      total.vertex_computes += job.vertex_computes;
+      total.edge_traversals += job.edge_traversals;
+      total.push_updates += job.push_updates;
+      total.compute_units += job.compute_units;
+      total.charge += job.charge;
+    }
+    total.wall_seconds = wall_seconds;
+    return total;
+  }
 
   uint64_t TotalComputeUnits() const {
     uint64_t total = 0;

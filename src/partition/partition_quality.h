@@ -75,7 +75,7 @@ inline bool ParsePartitionerName(std::string_view name, PartitionerKind* out) {
 }
 
 // Measured layout-quality indices, computed once at build time and carried by
-// PartitionedGraph::quality() (and from there into Report() and BENCH_ltp.json).
+// PartitionedGraph::quality() (and from there into Report() and --report-json).
 // Formulas and degenerate-case conventions are specified in docs/partitioning.md:
 //
 //   edge_cut_fraction   fraction of edges whose endpoints' *master* partitions differ

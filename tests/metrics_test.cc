@@ -1,15 +1,18 @@
 // Unit tests for the cost model, run reports (makespan/overlap/utilization), table
-// printing, and CSV serialization.
+// printing, CSV and JSON serialization, and the checked report-file writer.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "src/metrics/cost_model.h"
 #include "src/metrics/csv_writer.h"
+#include "src/metrics/json_writer.h"
 #include "src/metrics/run_report.h"
 #include "src/metrics/table_printer.h"
 #include "tests/testing/temp_files.h"
@@ -146,22 +149,59 @@ TEST(CsvWriterTest, ContainsHeaderAndTotalRow) {
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 4);
 }
 
-TEST(CsvWriterTest, RoundTripThroughFile) {
-  const CostModel model = SimpleModel();
-  const RunReport report = TwoJobReport();
+TEST(WriteTextFileTest, RoundTripThroughFile) {
+  const std::string csv = RunReportToCsv(TwoJobReport(), SimpleModel());
   const std::string path = test_support::TempPath("cgraph_report.csv");
-  ASSERT_TRUE(WriteRunReportCsv(report, model, path).ok());
+  ASSERT_TRUE(WriteTextFile(path, csv).ok());
   std::ifstream in(path);
   std::stringstream buffer;
   buffer << in.rdbuf();
-  EXPECT_EQ(buffer.str(), RunReportToCsv(report, model));
+  EXPECT_EQ(buffer.str(), csv);
   std::remove(path.c_str());
 }
 
-TEST(CsvWriterTest, UnwritablePathFails) {
-  const CostModel model = SimpleModel();
-  const RunReport report = TwoJobReport();
-  EXPECT_FALSE(WriteRunReportCsv(report, model, "/nonexistent/dir/report.csv").ok());
+TEST(WriteTextFileTest, UnwritablePathFails) {
+  EXPECT_FALSE(WriteTextFile("/nonexistent/dir/report.json", "{}\n").ok());
+}
+
+TEST(JsonWriterTest, NestedContainersGetCommasOnlyBetweenElements) {
+  JsonWriter w;
+  w.BeginObject().Field("a", uint64_t{1}).Key("b").BeginArray();
+  w.BeginObject().EndObject().BeginArray().EndArray().Value("s").Value(0.5);
+  w.BeginObject().Field("c", "x").Field("d", uint32_t{2}).EndObject();
+  w.EndArray().Key("e").BeginObject().EndObject().EndObject();
+  EXPECT_EQ(w.str(), R"({"a":1,"b":[{},[],"s",0.5,{"c":"x","d":2}],"e":{}})");
+}
+
+TEST(JsonWriterTest, EscapesQuotesBackslashesAndControlCharacters) {
+  JsonWriter w;
+  w.BeginObject().Field("k\"\n", std::string_view("q\"b\\s\r\t\x01\x1f/\x7f", 11));
+  EXPECT_EQ(w.EndObject().str(), R"({"k\"\n":"q\"b\\s\u000d\t\u0001\u001f/)" "\x7f" R"("})");
+}
+
+TEST(JsonWriterTest, NonFiniteDoublesBecomeNull) {
+  JsonWriter w;
+  w.BeginArray().Value(std::nan("")).Value(HUGE_VAL).Value(-HUGE_VAL).Value(0.5).EndArray();
+  EXPECT_EQ(w.str(), "[null,null,null,0.5]");
+}
+
+TEST(JsonWriterTest, IntegersAreExact) {
+  JsonWriter w;
+  w.BeginArray().Value(UINT64_MAX).Value(uint64_t{0}).Value(uint32_t{4294967295u}).EndArray();
+  EXPECT_EQ(w.str(), "[18446744073709551615,0,4294967295]");
+}
+
+TEST(JsonWriterTest, DoublesRoundTrip) {
+  const double values[] = {0.1, 1.0 / 3.0, 851452672.0, 2.89077e+07, 1e-300, -4.25e17,
+                           0.042576123456789};
+  for (const double v : values) {
+    JsonWriter w;
+    w.Value(v);
+    EXPECT_EQ(std::strtod(w.str().c_str(), nullptr), v) << w.str();
+  }
+  JsonWriter shortest;
+  shortest.BeginArray().Value(0.1).Value(93.0).EndArray();
+  EXPECT_EQ(shortest.str(), "[0.1,93]");
 }
 
 }  // namespace

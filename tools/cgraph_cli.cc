@@ -5,7 +5,7 @@
 //              [--jobs=NAME[,NAME...]] [--system=cgraph|cgraph-without|sequential|
 //               seraph|seraph-vt|nxgraph|clip]
 //              [--partitions=N] [--partitioner=even_edge|hash_source|greedy|degree]
-//              [--workers=N] [--source=V] [--csv=PATH]
+//              [--workers=N] [--source=V] [--report-json=PATH]
 //              [--theta-scale=X] [--no-straggler] [--chunk-grain=N]
 //              [--sweep-threshold=N] [--arrivals=NAME@STEP[,NAME@STEP...]]
 //              [--admission=fifo|overlap] [--aging=X] [--max-jobs=N]
@@ -36,10 +36,8 @@
 // enables iteration-boundary checkpoints, and --retry-limit turns on the daemon's
 // retry-with-backoff policy; see docs/robustness.md.
 //
-// Prints a per-job report table (cgraph systems add parseable "admission:" and
-// "execution:" summary lines; --serve adds a parseable "service:" line; fault
-// injection / checkpointing add a parseable "robustness:" line); --csv additionally
-// writes machine-readable rows.
+// Prints a human-readable per-job report table; --report-json additionally writes the
+// run's one machine-readable record (see WriteReportIfRequested below).
 
 #include <algorithm>
 #include <cstdio>
@@ -55,6 +53,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/io.h"
 #include "src/metrics/csv_writer.h"
+#include "src/metrics/json_writer.h"
 #include "src/metrics/table_printer.h"
 #include "src/partition/partitioned_graph.h"
 #include "src/service/daemon.h"
@@ -92,7 +91,7 @@ struct CliOptions {
   double aging = -1.0;            // < 0 = engine default.
   uint32_t max_jobs = 0;          // 0 = engine default.
   int64_t trigger_threshold = -1; // < 0 = engine default.
-  std::string csv_path;
+  std::string report_json;
   bool help = false;
   // Service-daemon mode (--serve): replay an arrival trace through the ServiceDriver
   // instead of a one-shot batch; see docs/service.md.
@@ -160,6 +159,15 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
           (fields.size() > 1 && !ParseUint64(fields[1], &ef)) ||
           (fields.size() > 2 && !ParseUint64(fields[2], &seed))) {
         std::fprintf(stderr, "error: --rmat fields must be integers\n");
+        return false;
+      }
+      // VertexId is 32-bit, so 2^SCALE vertices must fit below kInvalidVertex.
+      if (scale > 31) {
+        std::fprintf(stderr, "error: --rmat SCALE must be at most 31\n");
+        return false;
+      }
+      if (ef > 0xFFFFFFFFull) {
+        std::fprintf(stderr, "error: --rmat EDGE_FACTOR must be below 2^32\n");
         return false;
       }
       options->rmat_scale = static_cast<uint32_t>(scale);
@@ -377,8 +385,8 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       options->retry_backoff_set = true;
     } else if (match("--values-out=")) {
       options->values_out = value;
-    } else if (match("--csv=")) {
-      options->csv_path = value;
+    } else if (match("--report-json=")) {
+      options->report_json = value;
     } else {
       std::fprintf(stderr, "error: unknown argument '%s' (try --help)\n", argv[i]);
       return false;
@@ -399,21 +407,52 @@ bool IsKnownJob(const std::string& name) {
   return false;
 }
 
-// Parseable execution-mode summary (consumed by tools/run_bench.sh): which iteration
-// model actually applied, per docs/execution_modes.md — async_jobs counts jobs that ran
-// under the relaxed model (monotonic programs with a non-degenerate staleness window).
-// Parseable layout-quality summary (consumed by tools/run_bench.sh; index definitions
-// in docs/partitioning.md). Printed for every system: the indices describe the graph
-// layout, which baselines share with the cgraph systems.
-void PrintPartitionLine(const PartitionQuality& q) {
-  std::printf(
-      "partition: partitioner=%s edge_cut_fraction=%.4f replication_factor=%.4f "
-      "mirror_count=%llu edge_balance=%.4f vertex_balance=%.4f\n",
-      PartitionerKindName(q.partitioner), q.edge_cut_fraction, q.replication_factor,
-      static_cast<unsigned long long>(q.mirror_count), q.edge_balance, q.vertex_balance);
+// One row of the report: the RunReportToCsv columns of `job`.
+void WriteJobRow(JsonWriter& w, const std::string& executor, const JobStats& job,
+                 const CostModel& cost, uint32_t workers) {
+  w.BeginObject().Field("executor", executor).Field("job", job.job_name);
+  w.Field("iterations", job.iterations).Field("vertex_computes", job.vertex_computes);
+  w.Field("edge_traversals", job.edge_traversals).Field("push_updates", job.push_updates);
+  w.Field("compute_units", job.compute_units).Field("hit_bytes", job.charge.hit_bytes);
+  w.Field("mem_bytes", job.charge.mem_bytes).Field("disk_bytes", job.charge.disk_bytes);
+  w.Field("modeled_compute", job.ModeledComputeTime(cost, workers));
+  w.Field("modeled_access", job.ModeledAccessTime(cost, workers));
+  w.Field("modeled_time", job.ModeledTime(cost, workers));
+  w.Field("wall_seconds", job.wall_seconds).EndObject();
 }
 
-void PrintExecutionLine(const RunReport& report, const EngineOptions& engine_options) {
+// Per-job wait steps are scheduling steps between becoming runnable and admission,
+// deterministic for a fixed workload and policy. The overlap mean aggregates only
+// *scored* admissions (contended decisions under a footprint-aware policy): unscored
+// jobs report admit_overlap = 0 without ever having been scored.
+void WriteAdmission(JsonWriter& w, const RunReport& report, AdmissionPolicyKind policy) {
+  uint64_t total_wait = 0;
+  uint64_t max_wait = 0;
+  size_t waited = 0;
+  size_t scored = 0;
+  double scored_overlap = 0.0;
+  for (const auto& job : report.jobs) {
+    total_wait += job.wait_steps;
+    max_wait = std::max(max_wait, job.wait_steps);
+    waited += job.wait_steps > 0 ? 1 : 0;
+    if (job.admit_scored) {
+      ++scored;
+      scored_overlap += job.admit_overlap;
+    }
+  }
+  const double jobs = static_cast<double>(report.jobs.size());
+  w.Key("admission").BeginObject().Field("policy", AdmissionPolicyKindName(policy));
+  w.Field("mean_wait_steps", jobs == 0 ? 0.0 : static_cast<double>(total_wait) / jobs);
+  w.Field("max_wait_steps", max_wait).Field("waited_jobs", waited);
+  w.Field("scored_jobs", scored)
+      .Field("mean_admit_overlap",
+             scored == 0 ? 0.0 : scored_overlap / static_cast<double>(scored))
+      .EndObject();
+}
+
+// Which iteration model actually applied (docs/execution_modes.md): async_jobs counts
+// jobs that ran under the relaxed model.
+void WriteExecution(JsonWriter& w, const RunReport& report, const EngineOptions& options) {
   size_t async_jobs = 0;
   uint64_t redrain = 0;
   uint64_t deferred = 0;
@@ -422,47 +461,114 @@ void PrintExecutionLine(const RunReport& report, const EngineOptions& engine_opt
     redrain += job.redrain_computes;
     deferred += job.deferred_pushes;
   }
-  std::printf(
-      "execution: mode=%s staleness=%u async_jobs=%zu redrain_computes=%llu "
-      "deferred_pushes=%llu\n",
-      ExecutionModeName(engine_options.execution_mode), engine_options.staleness,
-      async_jobs, static_cast<unsigned long long>(redrain),
-      static_cast<unsigned long long>(deferred));
+  w.Key("execution").BeginObject().Field("mode", ExecutionModeName(options.execution_mode));
+  w.Field("staleness", options.staleness).Field("async_jobs", async_jobs);
+  w.Field("redrain_computes", redrain).Field("deferred_pushes", deferred).EndObject();
 }
 
-// Parseable robustness summary (consumed by tools/run_bench.sh; see
-// docs/robustness.md). Checkpoints add no hierarchy charge, so their modeled overhead
-// is derived analytically: checkpoint_bytes at the cost model's memory-byte rate over
-// the run's bandwidth channels, as a fraction of the run's modeled makespan.
-void PrintRobustnessLine(size_t faults_fired, const RunReport& report,
-                         const CostModel& cost) {
+// See docs/robustness.md. Checkpoints add no hierarchy charge, so their modeled overhead
+// is derived analytically: checkpoint_bytes at the cost model's memory-byte rate over the
+// run's bandwidth channels, as a fraction of the run's modeled makespan.
+void WriteRobustness(JsonWriter& w, size_t faults_fired, const RunReport& report,
+                     const CostModel& cost) {
   size_t failed = 0;
   size_t cancelled = 0;
   uint64_t recoveries = 0;
   uint64_t checkpoints = 0;
-  uint64_t checkpoint_bytes = 0;
+  AccessCharge snapshot_charge;
   for (const auto& job : report.jobs) {
     failed += job.failed ? 1 : 0;
     cancelled += job.cancelled ? 1 : 0;
     recoveries += job.recoveries;
     checkpoints += job.checkpoints_taken;
-    checkpoint_bytes += job.checkpoint_bytes;
+    snapshot_charge.mem_bytes += job.checkpoint_bytes;
   }
-  AccessCharge snapshot_charge;
-  snapshot_charge.mem_bytes = checkpoint_bytes;
   const uint32_t channels =
       std::max<uint32_t>(1, std::min(report.workers, cost.bandwidth_channels));
   const double overhead = cost.AccessCost(snapshot_charge) / channels;
   const double makespan = report.ModeledMakespan(cost);
-  std::printf(
-      "robustness: injected=%zu failed=%zu cancelled=%zu recoveries=%llu "
-      "unrecovered=%zu checkpoints=%llu checkpoint_bytes=%llu "
-      "checkpoint_overhead_ratio=%.6f\n",
-      faults_fired, failed, cancelled,
-      static_cast<unsigned long long>(recoveries), failed + cancelled,
-      static_cast<unsigned long long>(checkpoints),
-      static_cast<unsigned long long>(checkpoint_bytes),
-      makespan > 0.0 ? overhead / makespan : 0.0);
+  w.Key("robustness").BeginObject().Field("injected", faults_fired);
+  w.Field("failed", failed).Field("cancelled", cancelled).Field("recoveries", recoveries);
+  w.Field("unrecovered", failed + cancelled).Field("checkpoints", checkpoints);
+  w.Field("checkpoint_bytes", snapshot_charge.mem_bytes);
+  w.Field("checkpoint_overhead_ratio", makespan > 0.0 ? overhead / makespan : 0.0);
+  w.EndObject();
+}
+
+// Latency percentiles are scheduling-step figures, identical across runs and worker
+// counts; wall_seconds and sustained_jobs_per_second are the hardware-dependent outputs.
+void WriteService(JsonWriter& w, const ServiceReport& s, const char* pattern) {
+  w.Key("service").BeginObject().Field("pattern", pattern);
+  w.Field("requests", s.total_requests).Field("completed", s.completed_requests);
+  w.Field("shed", s.shed_requests).Field("coalesced", s.coalesced_requests);
+  w.Field("failed", s.failed_requests).Field("submitted_jobs", s.submitted_jobs);
+  w.Field("executed_jobs", s.executed_jobs).Field("shed_jobs", s.shed_jobs);
+  w.Field("cancelled_jobs", s.cancelled_jobs).Field("failed_jobs", s.failed_jobs);
+  w.Field("retried", s.retried_jobs).Field("recovered", s.recovered_jobs);
+  w.Field("dedup_ratio", s.dedup_ratio).Field("p50_latency_steps", s.p50_latency_steps);
+  w.Field("p95_latency_steps", s.p95_latency_steps);
+  w.Field("p99_latency_steps", s.p99_latency_steps);
+  w.Field("mean_latency_steps", s.mean_latency_steps);
+  w.Field("max_latency_steps", s.max_latency_steps).Field("final_step", s.final_step);
+  w.Field("wall_seconds", s.wall_seconds);
+  w.Field("sustained_jobs_per_second", s.sustained_jobs_per_second).EndObject();
+}
+
+// Writes the --report-json document, if one was requested, and returns the exit code
+// (1 when the file cannot be written). The document holds the graph and its layout
+// quality (docs/partitioning.md), one row per job plus their total, and the summaries
+// that apply to the run: admission (cgraph batch runs), execution (cgraph systems),
+// robustness (fault injection or checkpointing) and service (--serve, where `service`
+// is non-null). Every number is the value the engine computed, at full precision;
+// sections that do not apply are absent rather than null.
+int WriteReportIfRequested(const CliOptions& options, const EdgeList& edges,
+                           const PartitionedGraph& graph, const RunReport& report,
+                           const EngineOptions& engine_options, size_t faults_fired,
+                           VertexId source, const ServiceReport* service) {
+  if (options.report_json.empty()) {
+    return 0;
+  }
+  const CostModel cost;
+  const PartitionQuality& q = graph.quality();
+  JsonWriter w;
+  w.BeginObject().Field("system", options.system).Field("executor", report.executor_name);
+  w.Field("workers", report.workers);
+  if (service == nullptr) {
+    w.Field("source", source);
+  }
+  w.Key("graph").BeginObject().Field("vertices", edges.num_vertices());
+  w.Field("edges", edges.num_edges()).Field("partitions", graph.num_partitions()).EndObject();
+  w.Key("partition").BeginObject().Field("partitioner", PartitionerKindName(q.partitioner));
+  w.Field("edge_cut_fraction", q.edge_cut_fraction);
+  w.Field("replication_factor", q.replication_factor).Field("mirror_count", q.mirror_count);
+  w.Field("edge_balance", q.edge_balance).Field("vertex_balance", q.vertex_balance);
+  w.EndObject().Key("jobs").BeginArray();
+  for (const auto& job : report.jobs) {
+    WriteJobRow(w, report.executor_name, job, cost, report.workers);
+  }
+  w.EndArray().Key("total");
+  WriteJobRow(w, report.executor_name, report.Total(), cost, report.workers);
+  if (options.system == "cgraph" || options.system == "cgraph-without") {
+    if (service != nullptr) {
+      WriteService(w, *service,
+                   options.trace_file.empty() ? ArrivalPatternName(options.trace_pattern)
+                                              : "file");
+    } else {
+      WriteAdmission(w, report, options.admission);
+    }
+    WriteExecution(w, report, engine_options);
+    if (!engine_options.fault_specs.empty() || engine_options.checkpoint_every > 0) {
+      WriteRobustness(w, faults_fired, report, cost);
+    }
+  }
+  w.EndObject();
+  const Status status = WriteTextFile(options.report_json, w.str() + "\n");
+  if (!status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+    return 1;
+  }
+  std::printf("report written to %s\n", options.report_json.c_str());
+  return 0;
 }
 
 // One line per (completed job, vertex): "job,vertex,value" with full double precision —
@@ -535,7 +641,7 @@ void PrintUsage() {
       "  --trigger-threshold=N min active vertices in a trigger batch before it\n"
       "                        dispatches through the thread pool (default 4096;\n"
       "                        0 always dispatches)\n"
-      "  --csv=PATH            also write the report as CSV\n"
+      "  --report-json=PATH    also write the run's machine-readable JSON report\n"
       "\nservice daemon (docs/service.md):\n"
       "  --serve               replay an arrival trace as a long-running service\n"
       "                        (cgraph systems only; --jobs becomes the program mix)\n"
@@ -680,6 +786,11 @@ int main(int argc, char** argv) {
     rmat.seed = options.rmat_seed;
     edges = GenerateRmat(rmat);
   }
+  if (options.source != kInvalidVertex && options.source >= edges.num_vertices()) {
+    std::fprintf(stderr, "error: --source=%u is out of range: the graph has %u vertices\n",
+                 options.source, edges.num_vertices());
+    return 2;
+  }
   const VertexId source =
       options.source == kInvalidVertex ? PickSourceVertex(edges) : options.source;
 
@@ -722,7 +833,6 @@ int main(int argc, char** argv) {
   engine_options.fault_seed = options.fault_seed;
   engine_options.checkpoint_every = options.checkpoint_every;
   engine_options.job_step_budget = options.job_step_budget;
-  const CostModel cost;
 
   if (options.serve) {
     engine_options.use_scheduler = options.system == "cgraph";
@@ -764,7 +874,6 @@ int main(int argc, char** argv) {
     std::printf("graph: %u vertices, %zu edges, %u partitions (replication %.2f)\n",
                 edges.num_vertices(), edges.num_edges(), graph.num_partitions(),
                 graph.replication_factor());
-    PrintPartitionLine(graph.quality());
     std::printf("system: %s daemon, %u workers, %s trace\n\n", options.system.c_str(),
                 options.workers,
                 options.trace_file.empty() ? ArrivalPatternName(options.trace_pattern)
@@ -795,52 +904,14 @@ int main(int argc, char** argv) {
     std::printf("throughput   %.2f completed requests/s over %.2fs wall (%llu steps)\n\n",
                 sreport.sustained_jobs_per_second, sreport.wall_seconds,
                 static_cast<unsigned long long>(sreport.final_step));
-    // Parseable summary (consumed by tools/run_bench.sh). Latency percentiles are
-    // scheduling-step figures, identical across runs and worker counts; wall_seconds and
-    // sustained_jobs_per_second are the hardware-dependent outputs.
-    std::printf(
-        "service: pattern=%s requests=%llu completed=%llu shed=%llu coalesced=%llu "
-        "failed=%llu submitted_jobs=%llu executed_jobs=%llu shed_jobs=%llu "
-        "cancelled_jobs=%llu failed_jobs=%llu retried=%llu recovered=%llu "
-        "dedup_ratio=%.4f p50=%.1f p95=%.1f p99=%.1f mean=%.2f max=%.1f final_step=%llu "
-        "wall_seconds=%.4f sustained_jobs_per_second=%.4f\n",
-        options.trace_file.empty() ? ArrivalPatternName(options.trace_pattern) : "file",
-        static_cast<unsigned long long>(sreport.total_requests),
-        static_cast<unsigned long long>(sreport.completed_requests),
-        static_cast<unsigned long long>(sreport.shed_requests),
-        static_cast<unsigned long long>(sreport.coalesced_requests),
-        static_cast<unsigned long long>(sreport.failed_requests),
-        static_cast<unsigned long long>(sreport.submitted_jobs),
-        static_cast<unsigned long long>(sreport.executed_jobs),
-        static_cast<unsigned long long>(sreport.shed_jobs),
-        static_cast<unsigned long long>(sreport.cancelled_jobs),
-        static_cast<unsigned long long>(sreport.failed_jobs),
-        static_cast<unsigned long long>(sreport.retried_jobs),
-        static_cast<unsigned long long>(sreport.recovered_jobs), sreport.dedup_ratio,
-        sreport.p50_latency_steps, sreport.p95_latency_steps, sreport.p99_latency_steps,
-        sreport.mean_latency_steps, sreport.max_latency_steps,
-        static_cast<unsigned long long>(sreport.final_step), sreport.wall_seconds,
-        sreport.sustained_jobs_per_second);
     const RunReport engine_report = engine.Report();
-    PrintExecutionLine(engine_report, engine_options);
-    if (!engine_options.fault_specs.empty() || engine_options.checkpoint_every > 0) {
-      PrintRobustnessLine(engine.faults_fired(), engine_report, cost);
-    }
     if (!options.values_out.empty() && !WriteFinalValues(engine, options.values_out)) {
       std::fprintf(stderr, "error: cannot write values to '%s'\n",
                    options.values_out.c_str());
       return 1;
     }
-
-    if (!options.csv_path.empty()) {
-      const Status status = WriteRunReportCsv(engine_report, cost, options.csv_path);
-      if (!status.ok()) {
-        std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-        return 1;
-      }
-      std::printf("csv written to %s\n", options.csv_path.c_str());
-    }
-    return 0;
+    return WriteReportIfRequested(options, edges, graph, engine_report, engine_options,
+                                  engine.faults_fired(), source, &sreport);
   }
 
   RunReport report;
@@ -913,10 +984,10 @@ int main(int argc, char** argv) {
   std::printf("graph: %u vertices, %zu edges, %u partitions (replication %.2f)\n",
               edges.num_vertices(), edges.num_edges(), graph.num_partitions(),
               graph.replication_factor());
-  PrintPartitionLine(graph.quality());
   std::printf("system: %s, %u workers, source %u\n\n", report.executor_name.c_str(),
               report.workers, source);
 
+  const CostModel cost;
   TablePrinter table({"Job", "Iterations", "Vertex computes", "Edge traversals",
                       "Modeled time", "Access share"});
   for (const auto& job : report.jobs) {
@@ -932,49 +1003,6 @@ int main(int argc, char** argv) {
   std::printf("\nLLC miss rate %.1f%%, volume into cache %s, disk I/O %s, wall %.2fs\n",
               report.cache.miss_rate() * 100, HumanBytes(report.cache.miss_bytes).c_str(),
               HumanBytes(report.memory.disk_bytes).c_str(), report.wall_seconds);
-  if (is_cgraph_system) {
-    // Parseable admission summary (consumed by tools/run_bench.sh): per-job wait steps
-    // are scheduling steps between becoming runnable and admission, deterministic for a
-    // fixed workload and policy. Overlap means aggregate only *scored* admissions
-    // (contended decisions under a footprint-aware policy) — unscored jobs report
-    // admit_overlap = 0 without ever having been scored, and averaging them in would
-    // dilute the signal.
-    uint64_t total_wait = 0;
-    uint64_t max_wait = 0;
-    size_t waited = 0;
-    size_t scored = 0;
-    double scored_overlap = 0.0;
-    for (const auto& job : report.jobs) {
-      total_wait += job.wait_steps;
-      max_wait = std::max(max_wait, job.wait_steps);
-      waited += job.wait_steps > 0 ? 1 : 0;
-      if (job.admit_scored) {
-        ++scored;
-        scored_overlap += job.admit_overlap;
-      }
-    }
-    const double mean_wait =
-        report.jobs.empty() ? 0.0
-                            : static_cast<double>(total_wait) / static_cast<double>(report.jobs.size());
-    std::printf(
-        "admission: policy=%s mean_wait_steps=%.4f max_wait_steps=%llu waited_jobs=%zu "
-        "scored_jobs=%zu mean_admit_overlap=%.4f\n",
-        std::string(AdmissionPolicyKindName(options.admission)).c_str(), mean_wait,
-        static_cast<unsigned long long>(max_wait), waited, scored,
-        scored == 0 ? 0.0 : scored_overlap / static_cast<double>(scored));
-    PrintExecutionLine(report, engine_options);
-    if (!engine_options.fault_specs.empty() || engine_options.checkpoint_every > 0) {
-      PrintRobustnessLine(faults_fired, report, cost);
-    }
-  }
-
-  if (!options.csv_path.empty()) {
-    const Status status = WriteRunReportCsv(report, cost, options.csv_path);
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::printf("csv written to %s\n", options.csv_path.c_str());
-  }
-  return 0;
+  return WriteReportIfRequested(options, edges, graph, report, engine_options, faults_fired,
+                                source, nullptr);
 }

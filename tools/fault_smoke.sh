@@ -4,21 +4,23 @@
 # checkpoint, and require the recovered run to be equivalent to a fault-free run —
 #
 #   (1) the process survives the fault (per-job failure isolation, no abort);
-#   (2) the recovered run's schedule-invariant compute columns (CSV fields 1-7:
-#       executor,job,iterations,vertex_computes,edge_traversals,push_updates,
-#       compute_units) are byte-identical to the clean run's. The charge columns are
-#       excluded by design: they couple through the shared cache simulation, whose
-#       history extends through the failed attempt;
+#   (2) the recovered run's schedule-invariant compute columns (COMPUTE_COLUMNS in
+#       report_lib.sh) equal the clean run's. The charge columns are excluded by
+#       design: they couple through the shared cache simulation, whose history
+#       extends through the failed attempt;
 #   (3) the converged values of every job — min-accumulator programs only, so
 #       equality is exact — are byte-identical to the clean run's;
 #   (4) checkpointing at the documented K=8 cadence costs at most 5% of the run's
 #       modeled time (checkpoint_overhead_ratio, modeled analytically from
 #       checkpoint_bytes — checkpoints add no hierarchy charge).
 #
-# Usage: tools/fault_smoke.sh [BUILD_DIR] (default: build)
+# Usage: tools/fault_smoke.sh [BUILD_DIR] (default: build); needs jq.
 
 set -euo pipefail
+shopt -s inherit_errexit
 cd "$(dirname "$0")/.."
+# shellcheck source=tools/report_lib.sh
+. tools/report_lib.sh
 
 BUILD_DIR=${1:-build}
 CLI="$BUILD_DIR/tools/cgraph_cli"
@@ -34,38 +36,34 @@ CHECKPOINT_EVERY=2
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-"$CLI" --rmat="$RMAT" --jobs="$JOBS" --partitions="$PARTITIONS" \
-  --csv="$TMP/clean.csv" --values-out="$TMP/clean.values" >/dev/null
+run() {  # $1 = report name, $2... = extra flags
+  "$CLI" --rmat="$RMAT" --jobs="$JOBS" --partitions="$PARTITIONS" \
+    --report-json="$TMP/$1.json" "${@:2}" >/dev/null
+}
 
-FAULTED=$("$CLI" --rmat="$RMAT" --jobs="$JOBS" --partitions="$PARTITIONS" \
-  --checkpoint-every="$CHECKPOINT_EVERY" --inject-fault="$FAULT" \
-  --csv="$TMP/fault.csv" --values-out="$TMP/fault.values")
-LINE=$(grep '^robustness:' <<<"$FAULTED")
-INJECTED=$(sed -n 's/.* injected=\([0-9]*\).*/\1/p' <<<"$LINE")
-RECOVERIES=$(sed -n 's/.* recoveries=\([0-9]*\).*/\1/p' <<<"$LINE")
-UNRECOVERED=$(sed -n 's/.* unrecovered=\([0-9]*\).*/\1/p' <<<"$LINE")
-echo "fault smoke: $LINE"
-if [ "$INJECTED" != "1" ] || [ "$RECOVERIES" != "1" ] || [ "$UNRECOVERED" != "0" ]; then
-  echo "FAIL: expected exactly one injected fault, one recovery, nothing unrecovered" >&2
-  exit 1
-fi
+run clean --values-out="$TMP/clean.values"
+run fault --checkpoint-every="$CHECKPOINT_EVERY" --inject-fault="$FAULT" \
+  --values-out="$TMP/fault.values"
+INJECTED=$(field .robustness.injected "$TMP/fault.json")
+RECOVERIES=$(field .robustness.recoveries "$TMP/fault.json")
+UNRECOVERED=$(field .robustness.unrecovered "$TMP/fault.json")
+echo "fault smoke: injected=$INJECTED recoveries=$RECOVERIES unrecovered=$UNRECOVERED"
+holds "$INJECTED == 1 and $RECOVERIES == 1 and $UNRECOVERED == 0" ||
+  fail "expected exactly one injected fault, one recovery, nothing unrecovered"
 
-if ! diff <(cut -d, -f1-7 "$TMP/clean.csv") <(cut -d, -f1-7 "$TMP/fault.csv") >/dev/null; then
-  echo "FAIL: recovered run's compute columns differ from the fault-free run" >&2
-  diff <(cut -d, -f1-7 "$TMP/clean.csv") <(cut -d, -f1-7 "$TMP/fault.csv") >&2 || true
-  exit 1
+CLEAN_COLUMNS=$(field -c "$COMPUTE_COLUMNS" "$TMP/clean.json")
+FAULT_COLUMNS=$(field -c "$COMPUTE_COLUMNS" "$TMP/fault.json")
+if [ "$CLEAN_COLUMNS" != "$FAULT_COLUMNS" ]; then
+  diff <(jq . <<<"$CLEAN_COLUMNS") <(jq . <<<"$FAULT_COLUMNS") >&2 || true
+  fail "recovered run's compute columns differ from the fault-free run"
 fi
-if ! diff "$TMP/clean.values" "$TMP/fault.values" >/dev/null; then
-  echo "FAIL: recovered run's converged values differ from the fault-free run" >&2
-  exit 1
-fi
+cmp -s "$TMP/clean.values" "$TMP/fault.values" ||
+  fail "recovered run's converged values differ from the fault-free run"
 echo "OK: fault injected, job recovered from its checkpoint, results byte-identical"
 
-OVERHEAD=$("$CLI" --rmat="$RMAT" --jobs="$JOBS" --partitions="$PARTITIONS" \
-  --checkpoint-every=8 | sed -n 's/.*checkpoint_overhead_ratio=\([0-9.]*\).*/\1/p')
+run k8 --checkpoint-every=8
+OVERHEAD=$(field .robustness.checkpoint_overhead_ratio "$TMP/k8.json")
 echo "fault smoke: checkpoint_overhead_ratio=$OVERHEAD at --checkpoint-every=8"
-awk -v r="$OVERHEAD" 'BEGIN { exit (r <= 0.05) ? 0 : 1 }' || {
-  echo "FAIL: checkpoint overhead ratio $OVERHEAD exceeds 0.05 at --checkpoint-every=8" >&2
-  exit 1
-}
+holds "$OVERHEAD <= 0.05" ||
+  fail "checkpoint overhead ratio $OVERHEAD exceeds 0.05 at --checkpoint-every=8"
 echo "OK: checkpoint overhead within 5% of modeled time"
