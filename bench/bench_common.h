@@ -7,12 +7,7 @@
 // BFS, submitted simultaneously, section 4), and runners for the LTP engine and every
 // baseline.
 //
-// Flags (all optional):
-//   --scale-shift=N   uniform dataset scaling (default -2: sixteen times smaller than the
-//                     DESIGN.md reference scales; keeps the full suite under minutes)
-//   --workers=N       worker threads (default 4)
-//   --jobs=N          job-mix size where applicable (default 4)
-//   --datasets=N      limit to the first N datasets (default all 5)
+// Every binary accepts the flags of BenchEnv::FromArgs; --help lists them.
 
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
@@ -20,13 +15,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/algorithms/factory.h"
 #include "src/baselines/baseline_executor.h"
+#include "src/common/flags.h"
 #include "src/common/strings.h"
 #include "src/core/ltp_engine.h"
 #include "src/graph/datasets.h"
@@ -42,27 +37,26 @@ struct BenchEnv {
   uint32_t jobs = 4;
   size_t max_datasets = 5;
 
+  // Parses the bench flags; exits 2 on a usage error and 0 after --help.
   static BenchEnv FromArgs(int argc, char** argv) {
     BenchEnv env;
-    for (int i = 1; i < argc; ++i) {
-      const std::string_view arg = argv[i];
-      const char* value = nullptr;
-      auto match = [&arg, &value](std::string_view prefix) {
-        if (!arg.starts_with(prefix)) {
-          return false;
-        }
-        value = arg.data() + prefix.size();
-        return true;
-      };
-      if (match("--scale-shift=")) {
-        env.scale_shift = std::atoi(value);
-      } else if (match("--workers=")) {
-        env.workers = static_cast<uint32_t>(std::atoi(value));
-      } else if (match("--jobs=")) {
-        env.jobs = static_cast<uint32_t>(std::atoi(value));
-      } else if (match("--datasets=")) {
-        env.max_datasets = static_cast<size_t>(std::atoi(value));
-      }
+    FlagSet flags(std::string(argv[0]) + " — a CGraph paper-figure reproduction\n");
+    // Every dataset's R-MAT scale plus the shift must stay in [4, 26] (PaperDatasets).
+    flags.Number("scale-shift", "N",
+                 "uniform dataset scaling; -2 is sixteen times smaller than the reference "
+                 "scales and keeps the full suite under minutes",
+                 &env.scale_shift, -10, 9);
+    flags.Number("workers", "N", "worker threads", &env.workers, 1, 65535);
+    flags.Number("jobs", "N", "job-mix size where applicable", &env.jobs, 1, 64);
+    flags.Number("datasets", "N", "limit to the first N datasets", &env.max_datasets, 1, 5);
+    const Status status = flags.Parse(argc, argv);
+    if (!status.ok()) {
+      std::fprintf(stderr, "error: %s\n", status.message().c_str());
+      std::exit(2);
+    }
+    if (flags.help_requested()) {
+      std::fputs(flags.Usage().c_str(), stdout);
+      std::exit(0);
     }
     return env;
   }

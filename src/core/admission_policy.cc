@@ -49,18 +49,6 @@ AdmissionPolicy::Decision OverlapAdmission::Pick(std::span<const Candidate> due,
   return best;
 }
 
-bool ParseAdmissionPolicyName(std::string_view name, AdmissionPolicyKind* kind) {
-  if (name == "fifo") {
-    *kind = AdmissionPolicyKind::kFifo;
-    return true;
-  }
-  if (name == "overlap") {
-    *kind = AdmissionPolicyKind::kOverlap;
-    return true;
-  }
-  return false;
-}
-
 std::string_view AdmissionPolicyKindName(AdmissionPolicyKind kind) {
   switch (kind) {
     case AdmissionPolicyKind::kFifo:

@@ -112,9 +112,6 @@ class OverlapAdmission : public AdmissionPolicy {
   double aging_;
 };
 
-// Maps "fifo"/"overlap" to the enum; returns false on unknown names.
-bool ParseAdmissionPolicyName(std::string_view name, AdmissionPolicyKind* kind);
-
 // The canonical CLI/report name of a policy kind.
 std::string_view AdmissionPolicyKindName(AdmissionPolicyKind kind);
 

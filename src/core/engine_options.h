@@ -4,7 +4,6 @@
 #define SRC_CORE_ENGINE_OPTIONS_H_
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "src/cache/memory_hierarchy.h"
@@ -45,21 +44,6 @@ enum class ExecutionMode : uint8_t {
 
 inline const char* ExecutionModeName(ExecutionMode mode) {
   return mode == ExecutionMode::kAsync ? "async" : "bsp";
-}
-
-// Parses a CLI spelling of ExecutionMode. Returns false (leaving *out untouched) on an
-// unknown name so callers can emit a usage error listing the valid values.
-inline bool ParseExecutionModeName(const char* name, ExecutionMode* out) {
-  const std::string_view s(name);
-  if (s == "bsp") {
-    *out = ExecutionMode::kBsp;
-    return true;
-  }
-  if (s == "async") {
-    *out = ExecutionMode::kAsync;
-    return true;
-  }
-  return false;
 }
 
 struct EngineOptions {

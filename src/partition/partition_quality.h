@@ -8,7 +8,6 @@
 #define SRC_PARTITION_PARTITION_QUALITY_H_
 
 #include <cstdint>
-#include <string_view>
 
 namespace cgraph {
 
@@ -50,28 +49,6 @@ inline const char* PartitionerKindName(PartitionerKind kind) {
     default:
       return "even_edge";
   }
-}
-
-// Parses a CLI spelling of PartitionerKind. Returns false (leaving *out untouched) on an
-// unknown name so callers can emit a usage error listing the valid values.
-inline bool ParsePartitionerName(std::string_view name, PartitionerKind* out) {
-  if (name == "even_edge") {
-    *out = PartitionerKind::kEvenEdge;
-    return true;
-  }
-  if (name == "hash_source") {
-    *out = PartitionerKind::kHashSource;
-    return true;
-  }
-  if (name == "greedy") {
-    *out = PartitionerKind::kGreedy;
-    return true;
-  }
-  if (name == "degree") {
-    *out = PartitionerKind::kDegree;
-    return true;
-  }
-  return false;
 }
 
 // Measured layout-quality indices, computed once at build time and carried by

@@ -14,8 +14,11 @@ ServiceDriver::ServiceDriver(LtpEngine* engine, const ServiceOptions& options)
       reservoir_(options.reservoir_capacity, options.reservoir_seed) {
   CGRAPH_CHECK(engine != nullptr);
   // A zero backoff would re-arrive the retry at the abort step itself; require real
-  // spacing so retried work never races the abort that triggered it.
-  CGRAPH_CHECK(options.retry_limit == 0 || options.retry_backoff > 0);
+  // spacing so retried work never races the abort that triggered it. The upper bounds
+  // keep `retry_backoff << attempts` and the retry steps it sums to from wrapping.
+  CGRAPH_CHECK(options.retry_limit == 0 ||
+               (options.retry_limit <= kMaxRetryLimit && options.retry_backoff > 0 &&
+                options.retry_backoff <= kMaxRetryBackoff));
 }
 
 void ServiceDriver::AdmitRequest(const std::vector<ServiceRequest>& trace, size_t index,

@@ -45,6 +45,12 @@
 
 namespace cgraph {
 
+// Retry bounds: with retry_limit <= kMaxRetryLimit and retry_backoff <= kMaxRetryBackoff
+// the summed backoff, retry_backoff * (2^retry_limit - 1), stays below 2^63 steps, so no
+// retry step can wrap.
+inline constexpr uint32_t kMaxRetryLimit = 32;
+inline constexpr uint64_t kMaxRetryBackoff = uint64_t{1} << 31;
+
 struct ServiceOptions {
   // Maximum jobs waiting for admission before arrivals shed at the door; 0 = unbounded.
   size_t queue_bound = 64;
@@ -64,10 +70,11 @@ struct ServiceOptions {
   // backoff in scheduling steps). A job with a checkpoint resumes from it
   // (RestartFromCheckpoint, same JobId); one without is resubmitted fresh from its
   // representative request. Door sheds stay final immediate rejections — backpressure
-  // means the service is telling callers to go away *now*. 0 = no retries.
+  // means the service is telling callers to go away *now*. 0 = no retries; at most
+  // kMaxRetryLimit.
   uint32_t retry_limit = 0;
-  // Base backoff in scheduling steps (doubled per attempt). Must be > 0 when
-  // retry_limit > 0.
+  // Base backoff in scheduling steps (doubled per attempt). Must be in
+  // [1, kMaxRetryBackoff] when retry_limit > 0.
   uint64_t retry_backoff = 8;
 };
 

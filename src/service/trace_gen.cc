@@ -10,19 +10,6 @@
 
 namespace cgraph {
 
-bool ParseArrivalPattern(const std::string& name, ArrivalPattern* out) {
-  if (name == "uniform") {
-    *out = ArrivalPattern::kUniform;
-  } else if (name == "bursty") {
-    *out = ArrivalPattern::kBursty;
-  } else if (name == "diurnal") {
-    *out = ArrivalPattern::kDiurnal;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 const char* ArrivalPatternName(ArrivalPattern pattern) {
   switch (pattern) {
     case ArrivalPattern::kUniform:

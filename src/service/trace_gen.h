@@ -44,8 +44,7 @@ struct ServiceRequest {
 
 enum class ArrivalPattern { kUniform, kBursty, kDiurnal };
 
-// Parses "uniform" / "bursty" / "diurnal"; returns false on anything else.
-bool ParseArrivalPattern(const std::string& name, ArrivalPattern* out);
+// "uniform" / "bursty" / "diurnal".
 const char* ArrivalPatternName(ArrivalPattern pattern);
 
 struct TraceGenOptions {

@@ -122,17 +122,9 @@ TEST(AdmissionPolicyTest, HostileArrivalStreamCannotStarveADueJob) {
   EXPECT_LE(step, static_cast<uint64_t>(1.0 / aging) + 1);
 }
 
-TEST(AdmissionPolicyTest, ParseAndNameRoundTrip) {
-  AdmissionPolicyKind kind = AdmissionPolicyKind::kOverlap;
-  EXPECT_TRUE(ParseAdmissionPolicyName("fifo", &kind));
-  EXPECT_EQ(kind, AdmissionPolicyKind::kFifo);
-  EXPECT_EQ(AdmissionPolicyKindName(kind), "fifo");
-  EXPECT_TRUE(ParseAdmissionPolicyName("overlap", &kind));
-  EXPECT_EQ(kind, AdmissionPolicyKind::kOverlap);
-  EXPECT_EQ(AdmissionPolicyKindName(kind), "overlap");
-  EXPECT_FALSE(ParseAdmissionPolicyName("predict", &kind));
-  EXPECT_FALSE(ParseAdmissionPolicyName("sjf", &kind));
-  EXPECT_FALSE(ParseAdmissionPolicyName("", &kind));
+TEST(AdmissionPolicyTest, KindNames) {
+  EXPECT_EQ(AdmissionPolicyKindName(AdmissionPolicyKind::kFifo), "fifo");
+  EXPECT_EQ(AdmissionPolicyKindName(AdmissionPolicyKind::kOverlap), "overlap");
 }
 
 // --- Engine-level tests --------------------------------------------------------------

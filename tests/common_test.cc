@@ -1,12 +1,14 @@
-// Unit tests for src/common: status/result, string utilities, bitset, PRNG.
+// Unit tests for src/common: status/result, string utilities, flags, bitset, PRNG.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/common/bitset.h"
+#include "src/common/flags.h"
 #include "src/common/prng.h"
 #include "src/common/status.h"
 #include "src/common/strings.h"
@@ -109,6 +111,185 @@ TEST(StringsTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(512), "512.00 B");
   EXPECT_EQ(HumanBytes(1536), "1.50 KiB");
   EXPECT_EQ(HumanBytes(3ull << 20), "3.00 MiB");
+}
+
+// Parses `args` (without the program name) with `flags`.
+Status ParseFlags(FlagSet& flags, std::vector<std::string> args) {
+  std::vector<const char*> argv = {"prog"};
+  for (const std::string& arg : args) {
+    argv.push_back(arg.c_str());
+  }
+  return flags.Parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(FlagSetTest, IntegerBoundsAreInclusive) {
+  uint32_t workers = 4;
+  FlagSet flags("test");
+  flags.Number("workers", "N", "worker threads", &workers, 1, 65535);
+  EXPECT_TRUE(ParseFlags(flags, {"--workers=1"}).ok());
+  EXPECT_EQ(workers, 1u);
+  EXPECT_TRUE(ParseFlags(flags, {"--workers=65535"}).ok());
+  EXPECT_EQ(workers, 65535u);
+  for (const char* bad : {"--workers=0", "--workers=65536", "--workers=abc", "--workers=",
+                          "--workers=-1", "--workers=18446744073709551616"}) {
+    const Status status = ParseFlags(flags, {bad});
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(status.message().find("--workers expects an integer in [1, 65535]"),
+              std::string::npos)
+        << status.message();
+  }
+  EXPECT_EQ(workers, 65535u);  // Rejected values leave the field untouched.
+  EXPECT_TRUE(flags.Seen("workers"));
+}
+
+TEST(FlagSetTest, UnboundedIntegerAcceptsTypeMaximum) {
+  uint64_t seed = 42;
+  FlagSet flags("test");
+  flags.Number("seed", "N", "PRNG seed", &seed);
+  EXPECT_TRUE(ParseFlags(flags, {"--seed=18446744073709551615"}).ok());
+  EXPECT_EQ(seed, UINT64_MAX);
+  const Status status = ParseFlags(flags, {"--seed=18446744073709551616"});
+  EXPECT_NE(status.message().find("expects an integer >= 0"), std::string::npos);
+}
+
+TEST(FlagSetTest, SignedIntegers) {
+  int shift = -2;
+  FlagSet flags("test");
+  flags.Number("scale-shift", "N", "dataset scaling", &shift, -10, 9);
+  EXPECT_TRUE(ParseFlags(flags, {"--scale-shift=-10"}).ok());
+  EXPECT_EQ(shift, -10);
+  EXPECT_TRUE(ParseFlags(flags, {"--scale-shift=9"}).ok());
+  EXPECT_EQ(shift, 9);
+  for (const char* bad : {"--scale-shift=-11", "--scale-shift=10", "--scale-shift=--1",
+                          "--scale-shift=-", "--scale-shift=-9223372036854775809"}) {
+    EXPECT_FALSE(ParseFlags(flags, {bad}).ok()) << bad;
+  }
+  EXPECT_EQ(shift, 9);
+}
+
+TEST(FlagSetTest, DoublesRejectNonFiniteAndHonorOpenLowerBound) {
+  double theta = 1.0;
+  double aging = 0.5;
+  FlagSet flags("test");
+  flags.Number("theta", "X", "scale", &theta, 0.0, 1.0);
+  flags.Number("aging", "X", "weight", &aging, 0.0, std::numeric_limits<double>::max(),
+               /*lo_open=*/true);
+  EXPECT_TRUE(ParseFlags(flags, {"--theta=0", "--aging=1e-9"}).ok());
+  EXPECT_EQ(theta, 0.0);
+  EXPECT_EQ(aging, 1e-9);
+  for (const char* bad : {"--theta=nan", "--theta=inf", "--theta=1.5", "--theta=-0.1"}) {
+    const Status status = ParseFlags(flags, {bad});
+    EXPECT_NE(status.message().find("--theta expects a number in [0, 1]"),
+              std::string::npos)
+        << status.message();
+  }
+  for (const char* bad : {"--aging=0", "--aging=-1", "--aging=inf", "--aging=nan"}) {
+    const Status status = ParseFlags(flags, {bad});
+    EXPECT_NE(status.message().find("--aging expects a number > 0"),
+              std::string::npos)
+        << status.message();
+  }
+  EXPECT_EQ(aging, 1e-9);
+}
+
+enum class Color { kRed, kBlue };
+const char* ColorName(Color c) { return c == Color::kRed ? "red" : "blue"; }
+
+TEST(FlagSetTest, EnumAcceptsOnlyListedNames) {
+  Color color = Color::kRed;
+  FlagSet flags("test");
+  flags.Enum("color", "paint", &color, {Color::kRed, Color::kBlue}, ColorName);
+  EXPECT_TRUE(ParseFlags(flags, {"--color=blue"}).ok());
+  EXPECT_EQ(color, Color::kBlue);
+  const Status status = ParseFlags(flags, {"--color=green"});
+  EXPECT_EQ(status.message(), "--color expects one of red, blue, got 'green'");
+  EXPECT_EQ(color, Color::kBlue);
+}
+
+TEST(FlagSetTest, ListsNeedOneElement) {
+  std::vector<std::string> jobs = {"a"};
+  FlagSet flags("test");
+  flags.List<std::string>(
+      "jobs", "a,b", "programs", &jobs,
+      [](std::string_view piece, std::string* job) {
+        *job = piece;
+        return piece == "bad" ? Status::InvalidArgument("bad job") : Status::Ok();
+      },
+      [](const std::string& job) { return job; });
+  EXPECT_TRUE(ParseFlags(flags, {"--jobs=x,,y"}).ok());
+  EXPECT_EQ(jobs, (std::vector<std::string>{"x", "y"}));
+  EXPECT_EQ(ParseFlags(flags, {"--jobs=,"}).message(),
+            "--jobs expects a non-empty list: --jobs=a,b");
+  EXPECT_EQ(ParseFlags(flags, {"--jobs=z,bad"}).message(), "bad job");
+  EXPECT_EQ(jobs, (std::vector<std::string>{"x", "y"}));
+}
+
+TEST(FlagSetTest, SwitchesTakeNoValueAndValuesAreRequired) {
+  bool serve = false;
+  std::string path;
+  FlagSet flags("test");
+  flags.Switch("serve", "daemon mode", &serve);
+  flags.String("out", "PATH", "output", &path);
+  EXPECT_EQ(ParseFlags(flags, {"--serve=1"}).message(), "--serve takes no value");
+  EXPECT_FALSE(serve);
+  EXPECT_EQ(ParseFlags(flags, {"--out"}).message(), "--out expects a value: --out=PATH");
+  EXPECT_TRUE(ParseFlags(flags, {"--serve", "--out=a=b"}).ok());
+  EXPECT_TRUE(serve);
+  EXPECT_EQ(path, "a=b");
+}
+
+TEST(FlagSetTest, UnknownArgumentsAreRejected) {
+  bool serve = false;
+  FlagSet flags("test");
+  flags.Switch("serve", "daemon mode", &serve);
+  for (const char* bad : {"--csv=x", "serve", "-s", "--", "--serv"}) {
+    EXPECT_EQ(ParseFlags(flags, {bad}).message(),
+              "unknown argument '" + std::string(bad) + "' (try --help)");
+  }
+  EXPECT_FALSE(flags.Seen("serve"));
+}
+
+TEST(FlagSetTest, SectionRequirementsNameTheFirstSeenFlag) {
+  uint64_t gap = 4;
+  uint64_t seed = 42;
+  FlagSet flags("test");
+  flags.Number("seed", "N", "seed", &seed);
+  flags.Section("daemon", "--serve");
+  flags.Number("gap", "N", "gap", &gap);
+  ASSERT_TRUE(ParseFlags(flags, {"--seed=1"}).ok());
+  EXPECT_TRUE(flags.CheckRequirement("--serve", false).ok());
+  ASSERT_TRUE(ParseFlags(flags, {"--gap=4"}).ok());  // The default value still counts.
+  EXPECT_EQ(flags.CheckRequirement("--serve", false).message(), "--gap requires --serve");
+  EXPECT_TRUE(flags.CheckRequirement("--serve", true).ok());
+}
+
+TEST(FlagSetTest, HelpListsEveryRowWithItsCurrentDefault) {
+  uint32_t workers = 4;
+  bool serve = false;
+  Color color = Color::kRed;
+  std::string path;
+  FlagSet flags("usage: test");
+  flags.Number("workers", "N", "worker threads", &workers, 1, 65535);
+  flags.Enum("color", "paint", &color, {Color::kRed, Color::kBlue}, ColorName);
+  flags.String("out", "PATH", "output", &path);
+  flags.Section("daemon", "--cgraph");
+  flags.Switch("serve", "daemon mode", &serve);
+  ASSERT_TRUE(ParseFlags(flags, {"--help"}).ok());
+  EXPECT_TRUE(flags.help_requested());
+  std::string usage = flags.Usage();
+  EXPECT_EQ(usage.rfind("usage: test\n", 0), 0u);
+  for (const char* row : {"--workers=N", "\ndaemon:\n", "--serve", "--color=NAME",
+                          "--out=PATH", "-h, --help", "(default 4)", "(default red)",
+                          "(default off; requires --cgraph)", "(default none)"}) {
+    EXPECT_NE(usage.find(row), std::string::npos) << row << " missing from\n" << usage;
+  }
+  workers = 12;
+  color = Color::kBlue;
+  path = "x.json";
+  usage = flags.Usage();
+  for (const char* row : {"(default 12)", "(default blue)", "(default x.json)"}) {
+    EXPECT_NE(usage.find(row), std::string::npos) << row << " missing from\n" << usage;
+  }
 }
 
 TEST(BitsetTest, SetTestClear) {

@@ -10,6 +10,7 @@
 #include "src/core/ltp_engine.h"
 #include "src/graph/generators.h"
 #include "src/partition/partitioned_graph.h"
+#include "src/service/daemon.h"
 
 namespace cgraph {
 namespace {
@@ -65,6 +66,25 @@ TEST(EngineDeathTest, TooManyJobsAborts) {
   LtpEngine engine(&pg, options);
   engine.AddJob(std::make_unique<WccProgram>());
   EXPECT_DEATH(engine.AddJob(std::make_unique<WccProgram>()), "CHECK failed");
+}
+
+TEST(ServiceDeathTest, RetryScheduleThatCouldWrapAborts) {
+  const EdgeList edges = GenerateRing(8);
+  PartitionOptions popts;
+  popts.num_partitions = 2;
+  const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
+  EngineOptions options;
+  options.num_workers = 1;
+  LtpEngine engine(&pg, options);
+  ServiceOptions sopts;
+  sopts.retry_limit = kMaxRetryLimit;
+  sopts.retry_backoff = kMaxRetryBackoff;
+  ServiceDriver accepted(&engine, sopts);  // The largest schedule that cannot wrap.
+  sopts.retry_limit = kMaxRetryLimit + 1;
+  EXPECT_DEATH(ServiceDriver(&engine, sopts), "CHECK failed");
+  sopts.retry_limit = 1;
+  sopts.retry_backoff = kMaxRetryBackoff + 1;
+  EXPECT_DEATH(ServiceDriver(&engine, sopts), "CHECK failed");
 }
 
 }  // namespace

@@ -58,19 +58,11 @@ EdgeList TinyGraph(VertexId n, std::vector<std::pair<VertexId, VertexId>> pairs)
   return edges;
 }
 
-TEST(PartitionerNamesTest, NameParseRoundTrip) {
+TEST(PartitionerNamesTest, FactoryMatchesKindAndName) {
   for (const PartitionerKind kind : kAllPartitioners) {
-    PartitionerKind parsed = PartitionerKind::kEvenEdge;
-    EXPECT_TRUE(ParsePartitionerName(PartitionerKindName(kind), &parsed))
-        << PartitionerKindName(kind);
-    EXPECT_EQ(parsed, kind);
     EXPECT_EQ(MakePartitioner(kind)->kind(), kind);
     EXPECT_EQ(MakePartitioner(kind)->name(), PartitionerKindName(kind));
   }
-  PartitionerKind untouched = PartitionerKind::kGreedy;
-  EXPECT_FALSE(ParsePartitionerName("metis", &untouched));
-  EXPECT_FALSE(ParsePartitionerName("", &untouched));
-  EXPECT_EQ(untouched, PartitionerKind::kGreedy);
 }
 
 // The property sweep: every strategy, every fixture shape (paths, cycles, stars, grids,

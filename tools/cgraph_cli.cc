@@ -1,45 +1,12 @@
 // cgraph_cli — run concurrent iterative graph jobs from the command line.
 //
-// Usage:
-//   cgraph_cli [--graph=FILE | --rmat=SCALE,EDGE_FACTOR[,SEED]]
-//              [--jobs=NAME[,NAME...]] [--system=cgraph|cgraph-without|sequential|
-//               seraph|seraph-vt|nxgraph|clip]
-//              [--partitions=N] [--partitioner=even_edge|hash_source|greedy|degree]
-//              [--workers=N] [--source=V] [--report-json=PATH]
-//              [--theta-scale=X] [--no-straggler] [--chunk-grain=N]
-//              [--sweep-threshold=N] [--arrivals=NAME@STEP[,NAME@STEP...]]
-//              [--admission=fifo|overlap] [--aging=X] [--max-jobs=N]
-//              [--execution=bsp|async] [--staleness=N] [--defer-divisor=N]
-//              [--trigger-threshold=N]
-//              [--serve] [--trace-jobs=N] [--trace-pattern=uniform|bursty|diurnal]
-//              [--trace-seed=N] [--trace-gap=N] [--trace-burst=N] [--trace-sources=N]
-//              [--trace-file=PATH] [--trace-out=PATH] [--queue-bound=N]
-//              [--deadline-steps=N] [--no-coalesce]
-//              [--inject-fault=KIND@STEP[:JOB],...] [--fault-seed=N]
-//              [--checkpoint-every=N] [--job-step-budget=N]
-//              [--retry-limit=N] [--retry-backoff=N] [--values-out=PATH]
-//
-// Job names: pagerank, sssp, scc, bfs, wcc, kcore, ppr, khop.
-// Default: --rmat=12,8 --jobs=pagerank,sssp,scc,bfs --system=cgraph.
-// --arrivals submits extra jobs online, each after STEP partition-scheduling steps
-// (cgraph systems only — the baselines have no runtime-admission path).
-// --admission selects the job-level admission policy consulted whenever a concurrency
-// slot (bounded by --max-jobs) frees up; see docs/scheduling.md.
-// --execution selects the iteration model (cgraph systems only): bsp (default,
-// deterministic oracle) or async (bounded-staleness execution for monotonic programs —
-// every requested job must be monotonic); see docs/execution_modes.md.
-// --serve switches to graph-service daemon mode (cgraph systems only): generates or
-// replays an arrival trace of --trace-jobs requests over the --jobs program mix and
-// drives it through the ServiceDriver with query fan-in, a bounded queue, and optional
-// queue-wait deadlines; see docs/service.md.
-// --inject-fault arms the deterministic fault-injection harness, --checkpoint-every
-// enables iteration-boundary checkpoints, and --retry-limit turns on the daemon's
-// retry-with-backoff policy; see docs/robustness.md.
-//
-// Prints a human-readable per-job report table; --report-json additionally writes the
-// run's one machine-readable record (see WriteReportIfRequested below).
+// Every flag is one row of the FlagSet built by RegisterFlags below; `cgraph_cli --help`
+// lists them with their defaults. The run prints a human-readable per-job report table;
+// --report-json additionally writes the run's one machine-readable record (see
+// WriteReportIfRequested below).
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -47,6 +14,7 @@
 #include "src/algorithms/factory.h"
 #include "src/baselines/baseline_executor.h"
 #include "src/common/fault_injection.h"
+#include "src/common/flags.h"
 #include "src/common/strings.h"
 #include "src/core/admission_policy.h"
 #include "src/core/ltp_engine.h"
@@ -63,348 +31,281 @@ namespace {
 
 using namespace cgraph;
 
-struct ArrivalSpec {
-  std::string job;
-  uint64_t step = 0;
-};
-
+// The option structs the flags bind to, holding the CLI's defaults, plus the settings
+// that have no home in them. `trace.programs` is the --jobs list in every mode.
 struct CliOptions {
   std::string graph_path;
-  uint32_t rmat_scale = 12;
-  uint32_t rmat_edge_factor = 8;
-  uint64_t rmat_seed = 1;
-  std::vector<std::string> jobs = {"pagerank", "sssp", "scc", "bfs"};
-  std::vector<ArrivalSpec> arrivals;
+  RmatOptions rmat{.scale = 12, .edge_factor = 8, .seed = 1};
+  PartitionOptions partition{.num_partitions = 16};
+  EngineOptions engine;
+  ServiceOptions service;
+  TraceGenOptions trace{.programs = {"pagerank", "sssp", "scc", "bfs"}, .sources = {}};
+  std::vector<ServiceRequest> arrivals;  // --arrivals; `source` is unused.
   std::string system = "cgraph";
-  uint32_t partitions = 16;
-  PartitionerKind partitioner = PartitionerKind::kEvenEdge;
-  uint32_t workers = 4;
-  VertexId source = kInvalidVertex;  // Default: highest out-degree vertex.
-  double theta_scale = 1.0;
-  bool straggler_split = true;
-  uint32_t chunk_grain = 0;       // 0 = engine default.
-  int64_t sweep_threshold = -1;   // < 0 = engine default.
-  AdmissionPolicyKind admission = AdmissionPolicyKind::kFifo;
-  ExecutionMode execution = ExecutionMode::kBsp;
-  int64_t staleness = -1;         // < 0 = engine default.
-  int64_t defer_divisor = -1;     // < 0 = engine default.
-  double aging = -1.0;            // < 0 = engine default.
-  uint32_t max_jobs = 0;          // 0 = engine default.
-  int64_t trigger_threshold = -1; // < 0 = engine default.
-  std::string report_json;
-  bool help = false;
-  // Service-daemon mode (--serve): replay an arrival trace through the ServiceDriver
-  // instead of a one-shot batch; see docs/service.md.
+  VertexId source = kInvalidVertex;  // kInvalidVertex: PickSourceVertex decides.
   bool serve = false;
-  uint64_t trace_jobs = 1000;
-  ArrivalPattern trace_pattern = ArrivalPattern::kUniform;
-  uint64_t trace_seed = 42;
-  uint64_t trace_gap = 4;
-  uint64_t trace_burst = 16;
   uint64_t trace_sources = 8;
-  std::string trace_file;  // Replay this trace file instead of generating.
-  std::string trace_out;   // Save the generated trace here.
-  uint64_t queue_bound = 64;     // 0 = unbounded.
-  uint64_t deadline_steps = 0;   // 0 = no deadlines.
-  bool coalesce = true;
-  // Robustness knobs (docs/robustness.md).
-  std::vector<FaultSpec> fault_specs;  // --inject-fault, cgraph systems only.
-  uint64_t fault_seed = 42;
-  uint64_t checkpoint_every = 0;   // 0 = checkpointing off.
-  uint64_t job_step_budget = 0;    // 0 = no execution budgets.
-  uint64_t retry_limit = 0;        // --serve only; 0 = no retries.
-  uint64_t retry_backoff = 8;      // --serve only; doubled per attempt.
-  bool retry_backoff_set = false;  // For the "--retry-backoff without --serve" check.
-  std::string values_out;          // Final converged values of completed jobs.
+  std::string trace_file;
+  std::string trace_out;
+  std::string values_out;
+  std::string report_json;
+
+  bool cgraph() const { return system == "cgraph" || system == "cgraph-without"; }
 };
 
-constexpr const char* kKnownSystems[] = {"cgraph", "cgraph-without", "sequential",
-                                         "seraph", "seraph-vt",      "nxgraph",
-                                         "clip"};
+// Row requirements (FlagSet::CheckRequirement).
+constexpr const char* kCgraphOnly = "--system=cgraph|cgraph-without";
+constexpr const char* kServeOnly = "--serve";
 
-bool IsKnownSystem(const std::string& name) {
-  for (const char* known : kKnownSystems) {
-    if (name == known) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ParseArgs(int argc, char** argv, CliOptions* options) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const char* value = nullptr;
-    auto match = [&arg, &value](std::string_view prefix) {
-      if (!arg.starts_with(prefix)) {
-        return false;
-      }
-      value = arg.data() + prefix.size();
-      return true;
-    };
-    if (arg == "--help" || arg == "-h") {
-      options->help = true;
-    } else if (match("--graph=")) {
-      options->graph_path = value;
-    } else if (match("--rmat=")) {
-      const auto fields = SplitNonEmpty(value, ",");
-      if (fields.empty() || fields.size() > 3) {
-        std::fprintf(stderr, "error: --rmat expects SCALE,EDGE_FACTOR[,SEED]\n");
-        return false;
-      }
-      uint64_t scale = 0;
-      uint64_t ef = 8;
-      uint64_t seed = 1;
-      if (!ParseUint64(fields[0], &scale) ||
-          (fields.size() > 1 && !ParseUint64(fields[1], &ef)) ||
-          (fields.size() > 2 && !ParseUint64(fields[2], &seed))) {
-        std::fprintf(stderr, "error: --rmat fields must be integers\n");
-        return false;
-      }
-      // VertexId is 32-bit, so 2^SCALE vertices must fit below kInvalidVertex.
-      if (scale > 31) {
-        std::fprintf(stderr, "error: --rmat SCALE must be at most 31\n");
-        return false;
-      }
-      if (ef > 0xFFFFFFFFull) {
-        std::fprintf(stderr, "error: --rmat EDGE_FACTOR must be below 2^32\n");
-        return false;
-      }
-      options->rmat_scale = static_cast<uint32_t>(scale);
-      options->rmat_edge_factor = static_cast<uint32_t>(ef);
-      options->rmat_seed = seed;
-    } else if (match("--jobs=")) {
-      options->jobs.clear();
-      for (const auto piece : SplitNonEmpty(value, ",")) {
-        options->jobs.emplace_back(piece);
-      }
-    } else if (match("--system=")) {
-      options->system = value;
-      if (!IsKnownSystem(options->system)) {
-        std::fprintf(stderr,
-                     "error: --system expects cgraph, cgraph-without, sequential, "
-                     "seraph, seraph-vt, nxgraph, or clip\n");
-        return false;
-      }
-    } else if (match("--partitions=")) {
-      uint64_t partitions = 0;
-      if (!ParseUint64(value, &partitions) || partitions == 0 || partitions > 0xFFFFu) {
-        std::fprintf(stderr, "error: --partitions expects a count in [1, 65535]\n");
-        return false;
-      }
-      options->partitions = static_cast<uint32_t>(partitions);
-    } else if (match("--partitioner=")) {
-      if (!ParsePartitionerName(value, &options->partitioner)) {
-        std::fprintf(stderr,
-                     "error: --partitioner expects even_edge, hash_source, greedy, "
-                     "or degree\n");
-        return false;
-      }
-    } else if (match("--workers=")) {
-      uint64_t workers = 0;
-      if (!ParseUint64(value, &workers) || workers == 0 || workers > 0xFFFFu) {
-        std::fprintf(stderr, "error: --workers expects a count in [1, 65535]\n");
-        return false;
-      }
-      options->workers = static_cast<uint32_t>(workers);
-    } else if (match("--source=")) {
-      uint64_t source = 0;
-      if (!ParseUint64(value, &source) || source >= kInvalidVertex) {
-        std::fprintf(stderr, "error: --source expects a vertex id\n");
-        return false;
-      }
-      options->source = static_cast<VertexId>(source);
-    } else if (match("--theta-scale=")) {
-      if (!ParseDouble(value, &options->theta_scale) || options->theta_scale < 0.0 ||
-          options->theta_scale > 1.0) {
-        std::fprintf(stderr, "error: --theta-scale expects a number in [0, 1]\n");
-        return false;
-      }
-    } else if (arg == "--no-straggler") {
-      options->straggler_split = false;
-    } else if (match("--sweep-threshold=")) {
-      uint64_t threshold = 0;
-      if (!ParseUint64(value, &threshold) || threshold > 0xFFFFFFFFull) {
-        std::fprintf(stderr, "error: --sweep-threshold expects a vertex count\n");
-        return false;
-      }
-      options->sweep_threshold = static_cast<int64_t>(threshold);
-    } else if (match("--chunk-grain=")) {
-      uint64_t grain = 0;
-      if (!ParseUint64(value, &grain) || grain == 0 || grain > 0xFFFFFFFFull) {
-        std::fprintf(stderr, "error: --chunk-grain expects a positive vertex count\n");
-        return false;
-      }
-      options->chunk_grain = static_cast<uint32_t>(grain);
-    } else if (match("--admission=")) {
-      if (!ParseAdmissionPolicyName(value, &options->admission)) {
-        std::fprintf(stderr, "error: --admission expects fifo or overlap\n");
-        return false;
-      }
-    } else if (match("--execution=")) {
-      if (!ParseExecutionModeName(value, &options->execution)) {
-        std::fprintf(stderr, "error: --execution expects bsp or async\n");
-        return false;
-      }
-    } else if (match("--staleness=")) {
-      uint64_t staleness = 0;
-      if (!ParseUint64(value, &staleness) || staleness > 0xFFFFu) {
-        std::fprintf(stderr,
-                     "error: --staleness expects an iteration count in [0, 65535] "
-                     "(0 = degenerate to bsp)\n");
-        return false;
-      }
-      options->staleness = static_cast<int64_t>(staleness);
-    } else if (match("--defer-divisor=")) {
-      uint64_t divisor = 0;
-      if (!ParseUint64(value, &divisor) || divisor > 0xFFFFu) {
-        std::fprintf(stderr,
-                     "error: --defer-divisor expects a divisor in [0, 65535] "
-                     "(0 = always defer up to the staleness bound)\n");
-        return false;
-      }
-      options->defer_divisor = static_cast<int64_t>(divisor);
-    } else if (match("--aging=")) {
-      if (!ParseDouble(value, &options->aging) || options->aging <= 0.0) {
-        std::fprintf(stderr, "error: --aging expects a positive score-per-step weight\n");
-        return false;
-      }
-    } else if (match("--max-jobs=")) {
-      uint64_t max_jobs = 0;
-      if (!ParseUint64(value, &max_jobs) || max_jobs == 0 || max_jobs > 0xFFFFu) {
-        std::fprintf(stderr, "error: --max-jobs expects a count in [1, 65535]\n");
-        return false;
-      }
-      options->max_jobs = static_cast<uint32_t>(max_jobs);
-    } else if (match("--arrivals=")) {
-      for (const auto piece : SplitNonEmpty(value, ",")) {
-        const size_t at = piece.find('@');
-        uint64_t step = 0;
-        if (at == std::string_view::npos || at == 0 ||
-            !ParseUint64(piece.substr(at + 1), &step)) {
-          std::fprintf(stderr, "error: --arrivals expects NAME@STEP[,NAME@STEP...]\n");
-          return false;
-        }
-        options->arrivals.push_back(ArrivalSpec{std::string(piece.substr(0, at)), step});
-      }
-    } else if (match("--trigger-threshold=")) {
-      uint64_t threshold = 0;
-      if (!ParseUint64(value, &threshold) || threshold > 0xFFFFFFFFull) {
-        std::fprintf(stderr, "error: --trigger-threshold expects a vertex count\n");
-        return false;
-      }
-      options->trigger_threshold = static_cast<int64_t>(threshold);
-    } else if (arg == "--serve") {
-      options->serve = true;
-    } else if (match("--trace-jobs=")) {
-      if (!ParseUint64(value, &options->trace_jobs) || options->trace_jobs == 0) {
-        std::fprintf(stderr, "error: --trace-jobs expects a positive count\n");
-        return false;
-      }
-    } else if (match("--trace-pattern=")) {
-      if (!ParseArrivalPattern(value, &options->trace_pattern)) {
-        std::fprintf(stderr,
-                     "error: --trace-pattern expects uniform, bursty, or diurnal\n");
-        return false;
-      }
-    } else if (match("--trace-seed=")) {
-      if (!ParseUint64(value, &options->trace_seed)) {
-        std::fprintf(stderr, "error: --trace-seed expects an integer\n");
-        return false;
-      }
-    } else if (match("--trace-gap=")) {
-      if (!ParseUint64(value, &options->trace_gap)) {
-        std::fprintf(stderr, "error: --trace-gap expects a step count\n");
-        return false;
-      }
-    } else if (match("--trace-burst=")) {
-      if (!ParseUint64(value, &options->trace_burst) || options->trace_burst == 0) {
-        std::fprintf(stderr, "error: --trace-burst expects a positive count\n");
-        return false;
-      }
-    } else if (match("--trace-sources=")) {
-      if (!ParseUint64(value, &options->trace_sources) || options->trace_sources == 0) {
-        std::fprintf(stderr, "error: --trace-sources expects a positive count\n");
-        return false;
-      }
-    } else if (match("--trace-file=")) {
-      options->trace_file = value;
-    } else if (match("--trace-out=")) {
-      options->trace_out = value;
-    } else if (match("--queue-bound=")) {
-      if (!ParseUint64(value, &options->queue_bound)) {
-        std::fprintf(stderr, "error: --queue-bound expects a count (0 = unbounded)\n");
-        return false;
-      }
-    } else if (match("--deadline-steps=")) {
-      if (!ParseUint64(value, &options->deadline_steps)) {
-        std::fprintf(stderr, "error: --deadline-steps expects a step count (0 = off)\n");
-        return false;
-      }
-    } else if (arg == "--no-coalesce") {
-      options->coalesce = false;
-    } else if (match("--inject-fault=")) {
-      for (const auto piece : SplitNonEmpty(value, ",")) {
-        FaultSpec spec;
-        if (!ParseFaultSpec(piece, &spec)) {
-          std::fprintf(stderr,
-                       "error: --inject-fault expects KIND@STEP[:JOB] with KIND one of "
-                       "load, trigger, push, corrupt, cancel\n");
-          return false;
-        }
-        options->fault_specs.push_back(spec);
-      }
-    } else if (match("--fault-seed=")) {
-      if (!ParseUint64(value, &options->fault_seed)) {
-        std::fprintf(stderr, "error: --fault-seed expects an integer\n");
-        return false;
-      }
-    } else if (match("--checkpoint-every=")) {
-      if (!ParseUint64(value, &options->checkpoint_every)) {
-        std::fprintf(stderr,
-                     "error: --checkpoint-every expects an iteration count (0 = off)\n");
-        return false;
-      }
-    } else if (match("--job-step-budget=")) {
-      if (!ParseUint64(value, &options->job_step_budget)) {
-        std::fprintf(stderr,
-                     "error: --job-step-budget expects a step count (0 = no budgets)\n");
-        return false;
-      }
-    } else if (match("--retry-limit=")) {
-      if (!ParseUint64(value, &options->retry_limit) || options->retry_limit > 0xFFFFu) {
-        std::fprintf(stderr,
-                     "error: --retry-limit expects a count in [0, 65535] (0 = off)\n");
-        return false;
-      }
-    } else if (match("--retry-backoff=")) {
-      if (!ParseUint64(value, &options->retry_backoff) || options->retry_backoff == 0) {
-        std::fprintf(stderr, "error: --retry-backoff expects a positive step count\n");
-        return false;
-      }
-      options->retry_backoff_set = true;
-    } else if (match("--values-out=")) {
-      options->values_out = value;
-    } else if (match("--report-json=")) {
-      options->report_json = value;
-    } else {
-      std::fprintf(stderr, "error: unknown argument '%s' (try --help)\n", argv[i]);
-      return false;
-    }
-  }
-  return true;
-}
-
-constexpr const char* kKnownJobs[] = {"pagerank", "sssp", "scc", "bfs",
+constexpr std::string_view kJobs[] = {"pagerank", "sssp", "scc", "bfs",
                                       "wcc",      "kcore", "ppr", "khop"};
 
-bool IsKnownJob(const std::string& name) {
-  for (const char* known : kKnownJobs) {
-    if (name == known) {
-      return true;
+Status CheckJobName(std::string_view flag, std::string_view name) {
+  if (std::find(std::begin(kJobs), std::end(kJobs), name) != std::end(kJobs)) {
+    return Status::Ok();
+  }
+  return Status::InvalidArgument(std::string(flag) + ": unknown job '" + std::string(name) +
+                                 "' (jobs: pagerank sssp scc bfs wcc kcore ppr khop)");
+}
+
+// Every cgraph_cli flag, bound to its field in `o`.
+void RegisterFlags(FlagSet& flags, CliOptions& o) {
+  EngineOptions& e = o.engine;
+  flags.String("graph", "FILE", "edge list: 'src dst [weight]' per line, # comments",
+               &o.graph_path);
+  flags.Custom(
+      "rmat", "S,EF[,SEED]", "synthetic power-law graph: 2^S vertices, EF edges per vertex",
+      [&o](std::string_view text) {
+        const auto fields = SplitNonEmpty(text, ",");
+        if (fields.empty() || fields.size() > 3) {
+          return Status::InvalidArgument("--rmat expects SCALE,EDGE_FACTOR[,SEED]");
+        }
+        uint64_t v[3] = {0, o.rmat.edge_factor, o.rmat.seed};  // Scale, edge factor, seed.
+        for (size_t i = 0; i < fields.size(); ++i) {
+          if (!ParseUint64(fields[i], &v[i])) {
+            return Status::InvalidArgument("--rmat fields must be integers");
+          }
+        }
+        // VertexId is 32-bit, so 2^SCALE vertices must fit below kInvalidVertex.
+        if (v[0] > 31) {
+          return Status::InvalidArgument("--rmat SCALE must be at most 31");
+        }
+        if (v[1] > 0xFFFFFFFFull) {
+          return Status::InvalidArgument("--rmat EDGE_FACTOR must be below 2^32");
+        }
+        o.rmat.scale = static_cast<uint32_t>(v[0]);
+        o.rmat.edge_factor = static_cast<uint32_t>(v[1]);
+        o.rmat.seed = v[2];
+        return Status::Ok();
+      },
+      [&o] {
+        return std::to_string(o.rmat.scale) + "," + std::to_string(o.rmat.edge_factor) +
+               "," + std::to_string(o.rmat.seed);
+      });
+  flags.List<std::string>(
+      "jobs", "a,b,c",
+      "programs to run (the trace's program mix under --serve): pagerank sssp scc bfs wcc "
+      "kcore ppr khop",
+      &o.trace.programs,
+      [](std::string_view piece, std::string* job) {
+        *job = piece;
+        return CheckJobName("--jobs", piece);
+      },
+      [](const std::string& job) { return job; });
+  flags.Custom(
+      "source", "V",
+      "traversal source for sssp, bfs, ppr and khop; the default keeps footprints "
+      "localized, a hub id fans out wide",
+      [&o](std::string_view text) {
+        uint64_t source = 0;
+        if (!ParseUint64(text, &source) || source >= kInvalidVertex) {
+          return Status::InvalidArgument("--source expects a vertex id");
+        }
+        o.source = static_cast<VertexId>(source);
+        return Status::Ok();
+      },
+      [&o] {
+        return o.source == kInvalidVertex ? "lowest positive out-degree"
+                                          : std::to_string(o.source);
+      });
+  flags.Enum("system",
+             "executor: cgraph (the LTP engine), cgraph-without (no Eq. 1 priority), or a "
+             "baseline: sequential, seraph, seraph-vt, nxgraph, clip",
+             &o.system,
+             std::vector<std::string>{"cgraph", "cgraph-without", "sequential", "seraph",
+                                      "seraph-vt", "nxgraph", "clip"},
+             [](const std::string& s) { return s; });
+  flags.Number("partitions", "N", "graph partitions", &o.partition.num_partitions, 1,
+               65535);
+  flags.Enum("partitioner",
+             "edge-placement strategy (docs/partitioning.md): even_edge (the paper's "
+             "sorted equal-edge chunks), hash_source (hash each edge by its source "
+             "vertex), greedy (streaming replication-minimizing placement), degree (edges "
+             "follow their lower-degree endpoint; only hubs replicate)",
+             &o.partition.partitioner,
+             {PartitionerKind::kEvenEdge, PartitionerKind::kHashSource,
+              PartitionerKind::kGreedy, PartitionerKind::kDegree},
+             PartitionerKindName);
+  flags.Number("workers", "N", "worker threads", &e.num_workers, 1, 65535);
+  flags.Number("theta-scale", "X", "scale Eq. 1's theta (0 = pure N(P) ordering)",
+               &e.theta_scale, 0.0, 1.0);
+  flags.Switch("no-straggler", "disable straggler splitting (one task per job)",
+               &e.straggler_split, false);
+  flags.Number("chunk-grain", "N", "vertices per stolen work chunk", &e.chunk_grain, 1);
+  flags.Number("sweep-threshold", "N",
+               "min partition vertices before bookkeeping sweeps use the thread pool (0 "
+               "always parallel)",
+               &e.parallel_sweep_threshold);
+  flags.Number("trigger-threshold", "N",
+               "min active vertices in a trigger batch before it dispatches through the "
+               "thread pool (0 always dispatches)",
+               &e.parallel_trigger_threshold);
+  flags.Number("aging", "X",
+               "overlap-admission score bonus per waited step; only jobs arriving within "
+               "1/X steps of a due waiter can overtake it",
+               &e.admission_aging, 0.0, std::numeric_limits<double>::max(), true);
+  flags.Number("max-jobs", "N", "concurrency slots before admission queues", &e.max_jobs, 1,
+               65535);
+  flags.Number("staleness", "N",
+               "async mirror-sync lag bound in iterations (0 degenerates to bsp)",
+               &e.staleness, 0, 65535);
+  flags.Number("defer-divisor", "N",
+               "async deferral heat threshold: a boundary defers only while fresh master "
+               "records >= replicated/N (0 = always defer up to the staleness bound)",
+               &e.async_defer_divisor, 0, 65535);
+  flags.Number("fault-seed", "N", "corruption-target PRNG seed (docs/robustness.md)",
+               &e.fault_seed);
+  flags.String("report-json", "PATH", "also write the run's machine-readable JSON report",
+               &o.report_json);
+
+  flags.Section("LTP engine only (docs/scheduling.md, docs/robustness.md)", kCgraphOnly);
+  flags.List<ServiceRequest>(
+      "arrivals", "J@S,...", "submit job J online after S partition-scheduling steps",
+      &o.arrivals,
+      [](std::string_view piece, ServiceRequest* arrival) {
+        const size_t at = piece.find('@');
+        if (at == std::string_view::npos ||
+            !ParseUint64(piece.substr(at + 1), &arrival->arrival_step)) {
+          return Status::InvalidArgument("--arrivals expects NAME@STEP[,NAME@STEP...]");
+        }
+        arrival->program = piece.substr(0, at);
+        return CheckJobName("--arrivals", arrival->program);
+      },
+      [](const ServiceRequest& arrival) {
+        return arrival.program + "@" + std::to_string(arrival.arrival_step);
+      });
+  flags.Enum("admission",
+             "job-level admission policy: fifo, or overlap (admit the due waiter sharing "
+             "most initially-active partitions with the running set)",
+             &e.admission_policy,
+             {AdmissionPolicyKind::kFifo, AdmissionPolicyKind::kOverlap},
+             AdmissionPolicyKindName);
+  flags.Enum("execution",
+             "iteration model: bsp (the deterministic correctness oracle) or async "
+             "(bounded-staleness re-drain and mirror sync for monotonic programs; "
+             "identical converged values, fewer iterations). Under async every job must "
+             "be monotonic: sssp bfs wcc kcore khop",
+             &e.execution_mode, {ExecutionMode::kBsp, ExecutionMode::kAsync},
+             ExecutionModeName);
+  flags.Switch("serve", "replay an arrival trace as a long-running service", &o.serve);
+  flags.List<FaultSpec>(
+      "inject-fault", "SPECS",
+      "deterministic fault injection: KIND@STEP[:JOB],... with KIND one of load, trigger, "
+      "push (per-job stage errors), corrupt (NaN-scribble state then fail the job), cancel "
+      "(simulated mid-run deadline expiry); each spec fires once, at the first matching "
+      "poll at or after STEP",
+      &e.fault_specs,
+      [](std::string_view piece, FaultSpec* spec) {
+        return ParseFaultSpec(piece, spec)
+                   ? Status::Ok()
+                   : Status::InvalidArgument(
+                         "--inject-fault expects KIND@STEP[:JOB] with KIND one of load, "
+                         "trigger, push, corrupt, cancel");
+      },
+      [](const FaultSpec& f) {
+        return std::string(FaultKindName(f.kind)) + "@" + std::to_string(f.step) +
+               (f.job == kInvalidJob ? "" : ":" + std::to_string(f.job));
+      });
+  flags.Number("checkpoint-every", "N",
+               "snapshot each job's state every N completed iterations (0 = off); "
+               "failed/cancelled jobs restart from their last checkpoint (in-process in "
+               "batch mode, through the retry policy under --serve)",
+               &e.checkpoint_every);
+  flags.Number("job-step-budget", "N",
+               "cancel a running job N scheduling steps after its admission (0 = no "
+               "budgets; --deadline-steps bounds queue wait only)",
+               &e.job_step_budget);
+  flags.String("values-out", "PATH",
+               "write 'job,vertex,value' lines for every completed job (the "
+               "recovery-equivalence comparison artifact)",
+               &o.values_out);
+
+  flags.Section("service daemon (docs/service.md)", kServeOnly);
+  // 2^20 caps the up-front trace allocation; the largest committed trace has 2000.
+  flags.Number("trace-jobs", "N", "requests in the generated trace", &o.trace.num_requests,
+               1, size_t{1} << 20);
+  flags.Enum("trace-pattern", "arrival pattern: uniform, bursty, diurnal", &o.trace.pattern,
+             {ArrivalPattern::kUniform, ArrivalPattern::kBursty, ArrivalPattern::kDiurnal},
+             ArrivalPatternName);
+  flags.Number("trace-seed", "N", "trace PRNG seed", &o.trace.seed);
+  // Gap and burst stay at most 2^20 so arrival steps cannot wrap.
+  flags.Number("trace-gap", "N", "mean inter-arrival gap in scheduling steps",
+               &o.trace.mean_gap, 0, uint64_t{1} << 20);
+  flags.Number("trace-burst", "N", "requests per clump under bursty", &o.trace.burst_size,
+               1, uint64_t{1} << 20);
+  flags.Number("trace-sources", "N",
+               "traversal-source pool size; smaller pools repeat sources more, so more "
+               "requests coalesce",
+               &o.trace_sources, 1);
+  flags.String("trace-file", "PATH", "replay this trace file instead of generating",
+               &o.trace_file);
+  flags.String("trace-out", "PATH", "save the generated trace for exact replay",
+               &o.trace_out);
+  flags.Number("queue-bound", "N",
+               "waiting-queue bound before arrivals shed at the door (0 = unbounded)",
+               &o.service.queue_bound);
+  flags.Number("deadline-steps", "N",
+               "shed jobs still waiting N steps past arrival (0 = no deadlines)",
+               &o.service.deadline_steps);
+  flags.Switch("no-coalesce", "disable query fan-in (every request runs its own job)",
+               &o.service.coalesce, false);
+  flags.Number("retry-limit", "N",
+               "retry failed/cancelled/deadline-shed jobs up to N times (0 = off); "
+               "checkpointed jobs resume, others resubmit fresh (docs/robustness.md)",
+               &o.service.retry_limit, 0, kMaxRetryLimit);
+  flags.Number("retry-backoff", "N",
+               "base retry spacing in scheduling steps, doubled per attempt",
+               &o.service.retry_backoff, 1, kMaxRetryBackoff);
+}
+
+// Usage errors that depend on several flags' values.
+Status CheckCombinations(const CliOptions& o, const FlagSet& flags) {
+  for (const Status& status : {flags.CheckRequirement(kCgraphOnly, o.cgraph()),
+                               flags.CheckRequirement(kServeOnly, o.serve)}) {
+    if (!status.ok()) {
+      return status;
     }
   }
-  return false;
+  if (o.serve && !o.arrivals.empty()) {
+    return Status::InvalidArgument("--serve and --arrivals are mutually exclusive");
+  }
+  if (o.engine.execution_mode == ExecutionMode::kAsync) {
+    // Job names are validated at parse time, so the factory probe cannot trip on an
+    // unknown name. Source 0 is arbitrary: monotonic() is a program-type property.
+    std::vector<std::string> names = o.trace.programs;
+    for (const ServiceRequest& arrival : o.arrivals) {
+      names.push_back(arrival.program);
+    }
+    for (const std::string& name : names) {
+      if (!MakeProgram(name, 0)->monotonic()) {
+        return Status::InvalidArgument(
+            "job '" + name +
+            "' is not monotonic and cannot run under --execution=async; monotonic jobs: "
+            "sssp, bfs, wcc, kcore, khop (drop it or use --execution=bsp)");
+      }
+    }
+  }
+  return Status::Ok();
 }
 
 // One row of the report: the RunReportToCsv columns of `job`.
@@ -523,8 +424,9 @@ void WriteService(JsonWriter& w, const ServiceReport& s, const char* pattern) {
 // sections that do not apply are absent rather than null.
 int WriteReportIfRequested(const CliOptions& options, const EdgeList& edges,
                            const PartitionedGraph& graph, const RunReport& report,
-                           const EngineOptions& engine_options, size_t faults_fired,
-                           VertexId source, const ServiceReport* service) {
+                           size_t faults_fired, VertexId source,
+                           const ServiceReport* service) {
+  const EngineOptions& engine_options = options.engine;
   if (options.report_json.empty()) {
     return 0;
   }
@@ -548,13 +450,13 @@ int WriteReportIfRequested(const CliOptions& options, const EdgeList& edges,
   }
   w.EndArray().Key("total");
   WriteJobRow(w, report.executor_name, report.Total(), cost, report.workers);
-  if (options.system == "cgraph" || options.system == "cgraph-without") {
+  if (options.cgraph()) {
     if (service != nullptr) {
       WriteService(w, *service,
-                   options.trace_file.empty() ? ArrivalPatternName(options.trace_pattern)
+                   options.trace_file.empty() ? ArrivalPatternName(options.trace.pattern)
                                               : "file");
     } else {
-      WriteAdmission(w, report, options.admission);
+      WriteAdmission(w, report, engine_options.admission_policy);
     }
     WriteExecution(w, report, engine_options);
     if (!engine_options.fault_specs.empty() || engine_options.checkpoint_every > 0) {
@@ -593,182 +495,22 @@ bool WriteFinalValues(const LtpEngine& engine, const std::string& path) {
   return true;
 }
 
-void PrintUsage() {
-  std::printf(
-      "cgraph_cli — concurrent iterative graph processing (CGraph reproduction)\n\n"
-      "  --graph=FILE          edge list: 'src dst [weight]' per line, # comments\n"
-      "  --rmat=S,EF[,SEED]    synthetic power-law graph (default 12,8)\n"
-      "  --jobs=a,b,c          pagerank sssp scc bfs wcc kcore ppr khop\n"
-      "  --system=NAME         cgraph (default), cgraph-without, sequential, seraph,\n"
-      "                        seraph-vt, nxgraph, clip\n"
-      "  --partitions=N        graph partitions (default 16)\n"
-      "  --partitioner=NAME    edge-placement strategy (docs/partitioning.md):\n"
-      "                        even_edge (default; the paper's sorted equal-edge\n"
-      "                        chunks, byte-identical to the historical layout),\n"
-      "                        hash_source (hash each edge by its source vertex),\n"
-      "                        greedy (streaming replication-minimizing placement,\n"
-      "                        capacity-bounded), degree (edges follow their lower-\n"
-      "                        degree endpoint; only hubs replicate)\n"
-      "  --workers=N           worker threads (default 4)\n"
-      "  --source=V            traversal source (default: lowest positive out-degree —\n"
-      "                        a localized footprint; pass a hub id to fan out wide)\n"
-      "  --theta-scale=X       scale Eq. 1's theta in [0,1] (default 1; 0 = pure N(P))\n"
-      "  --no-straggler        disable straggler splitting (one task per job)\n"
-      "  --chunk-grain=N       vertices per stolen work chunk (default 256)\n"
-      "  --sweep-threshold=N   min partition vertices before bookkeeping sweeps use the\n"
-      "                        thread pool (default 8192; 0 always parallel)\n"
-      "  --arrivals=J@S,...    submit job J online after S scheduling steps\n"
-      "                        (cgraph systems only)\n"
-      "  --admission=NAME      job-level admission policy (cgraph systems only):\n"
-      "                        fifo (default), overlap (admit the due waiter sharing\n"
-      "                        most initially-active partitions with the running set)\n"
-      "  --aging=X             overlap score bonus per waited step (default\n"
-      "                        1/256; only jobs arriving within 1/X steps of a due\n"
-      "                        waiter can overtake it)\n"
-      "  --max-jobs=N          concurrency slots before admission queues (default 64)\n"
-      "  --execution=NAME      iteration model (cgraph systems only): bsp (default;\n"
-      "                        deterministic correctness oracle) or async (bounded-\n"
-      "                        staleness for monotonic programs: intra-iteration re-\n"
-      "                        drain of partition-interior updates + mirror sync lagging\n"
-      "                        masters by at most --staleness iterations; identical\n"
-      "                        converged values, fewer iterations). Every requested job\n"
-      "                        must be monotonic: sssp bfs wcc kcore khop\n"
-      "  --staleness=N         async mirror-sync lag bound in iterations (default 1;\n"
-      "                        0 degenerates to bsp; ignored under --execution=bsp)\n"
-      "  --defer-divisor=N     async adaptive-deferral heat threshold: a boundary only\n"
-      "                        defers while fresh master records >= replicated/N\n"
-      "                        (default 1; 0 = always defer up to the staleness bound)\n"
-      "  --trigger-threshold=N min active vertices in a trigger batch before it\n"
-      "                        dispatches through the thread pool (default 4096;\n"
-      "                        0 always dispatches)\n"
-      "  --report-json=PATH    also write the run's machine-readable JSON report\n"
-      "\nservice daemon (docs/service.md):\n"
-      "  --serve               replay an arrival trace as a long-running service\n"
-      "                        (cgraph systems only; --jobs becomes the program mix)\n"
-      "  --trace-jobs=N        requests in the generated trace (default 1000)\n"
-      "  --trace-pattern=NAME  uniform (default), bursty, diurnal\n"
-      "  --trace-seed=N        trace PRNG seed (default 42)\n"
-      "  --trace-gap=N         mean inter-arrival gap in scheduling steps (default 4)\n"
-      "  --trace-burst=N       requests per clump under bursty (default 16)\n"
-      "  --trace-sources=N     traversal-source pool size; smaller pools repeat\n"
-      "                        sources more, so more requests coalesce (default 8)\n"
-      "  --trace-file=PATH     replay this trace file instead of generating\n"
-      "  --trace-out=PATH      save the generated trace for exact replay\n"
-      "  --queue-bound=N       waiting-queue bound before arrivals shed at the door\n"
-      "                        (default 64; 0 = unbounded)\n"
-      "  --deadline-steps=N    shed jobs still waiting N steps past arrival\n"
-      "                        (default 0 = no deadlines)\n"
-      "  --no-coalesce         disable query fan-in (every request runs its own job)\n"
-      "\nrobustness (docs/robustness.md; cgraph systems only):\n"
-      "  --inject-fault=SPECS  deterministic fault injection: KIND@STEP[:JOB],... with\n"
-      "                        KIND one of load, trigger, push (per-job stage errors),\n"
-      "                        corrupt (NaN-scribble state then fail the job), cancel\n"
-      "                        (simulated mid-run deadline expiry); each spec fires\n"
-      "                        once, at the first matching poll at or after STEP\n"
-      "  --fault-seed=N        corruption-target PRNG seed (default 42)\n"
-      "  --checkpoint-every=N  snapshot each job's state every N completed iterations\n"
-      "                        (default 0 = off); failed/cancelled jobs restart from\n"
-      "                        their last checkpoint (batch mode recovers in-process;\n"
-      "                        --serve recovers through the retry policy)\n"
-      "  --job-step-budget=N   cancel a running job N scheduling steps after its\n"
-      "                        admission (default 0 = no budgets; complements\n"
-      "                        --deadline-steps, which bounds queue wait only)\n"
-      "  --retry-limit=N       --serve only: retry failed/cancelled/deadline-shed jobs\n"
-      "                        up to N times (default 0 = off); checkpointed jobs\n"
-      "                        resume, others resubmit fresh\n"
-      "  --retry-backoff=N     --serve only: base retry spacing in scheduling steps,\n"
-      "                        doubled per attempt (default 8)\n"
-      "  --values-out=PATH     write 'job,vertex,value' lines for every completed job\n"
-      "                        (the recovery-equivalence comparison artifact)\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   CliOptions options;
-  if (!ParseArgs(argc, argv, &options)) {
-    return 2;
-  }
-  if (options.help) {
-    PrintUsage();
+  FlagSet flags(
+      "cgraph_cli — concurrent iterative graph processing (CGraph reproduction)\n");
+  RegisterFlags(flags, options);
+  const Status parsed = flags.Parse(argc, argv);
+  if (parsed.ok() && flags.help_requested()) {
+    std::fputs(flags.Usage().c_str(), stdout);
     return 0;
   }
-  for (const auto& job : options.jobs) {
-    if (!IsKnownJob(job)) {
-      std::fprintf(stderr, "error: unknown job '%s'\n", job.c_str());
-      return 2;
-    }
-  }
-  const bool is_cgraph_system =
-      options.system == "cgraph" || options.system == "cgraph-without";
-  for (const auto& arrival : options.arrivals) {
-    if (!IsKnownJob(arrival.job)) {
-      std::fprintf(stderr, "error: unknown arrival job '%s'\n", arrival.job.c_str());
-      return 2;
-    }
-    if (!is_cgraph_system) {
-      std::fprintf(stderr, "error: --arrivals requires --system=cgraph|cgraph-without\n");
-      return 2;
-    }
-  }
-  if (options.admission != AdmissionPolicyKind::kFifo && !is_cgraph_system) {
-    std::fprintf(stderr, "error: --admission requires --system=cgraph|cgraph-without\n");
+  const Status status = parsed.ok() ? CheckCombinations(options, flags) : parsed;
+  if (!status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.message().c_str());
     return 2;
-  }
-  if (options.serve && !is_cgraph_system) {
-    std::fprintf(stderr, "error: --serve requires --system=cgraph|cgraph-without\n");
-    return 2;
-  }
-  if (options.serve && !options.arrivals.empty()) {
-    std::fprintf(stderr, "error: --serve and --arrivals are mutually exclusive\n");
-    return 2;
-  }
-  if (!is_cgraph_system &&
-      (!options.fault_specs.empty() || options.checkpoint_every > 0 ||
-       options.job_step_budget > 0 || !options.values_out.empty())) {
-    std::fprintf(stderr,
-                 "error: --inject-fault/--checkpoint-every/--job-step-budget/"
-                 "--values-out require --system=cgraph|cgraph-without (the baselines "
-                 "have no fault-tolerance path)\n");
-    return 2;
-  }
-  if (!options.serve && (options.retry_limit > 0 || options.retry_backoff_set)) {
-    std::fprintf(stderr,
-                 "error: --retry-limit/--retry-backoff require --serve (retries are a "
-                 "service-daemon policy; batch runs recover explicitly via "
-                 "--checkpoint-every)\n");
-    return 2;
-  }
-  if (options.execution == ExecutionMode::kAsync) {
-    if (!is_cgraph_system) {
-      std::fprintf(stderr,
-                   "error: --execution=async requires --system=cgraph|cgraph-without "
-                   "(the baselines have no bounded-staleness path)\n");
-      return 2;
-    }
-    // Job names are validated above, so the factory probe cannot trip on an unknown
-    // name. Source 0 is arbitrary — monotonic() is a program-type property.
-    auto reject_non_monotonic = [](const std::string& name) {
-      if (MakeProgram(name, 0)->monotonic()) {
-        return false;
-      }
-      std::fprintf(stderr,
-                   "error: job '%s' is not monotonic and cannot run under "
-                   "--execution=async; monotonic jobs: sssp, bfs, wcc, kcore, khop "
-                   "(drop it or use --execution=bsp)\n",
-                   name.c_str());
-      return true;
-    };
-    for (const auto& job : options.jobs) {
-      if (reject_non_monotonic(job)) {
-        return 2;
-      }
-    }
-    for (const auto& arrival : options.arrivals) {
-      if (reject_non_monotonic(arrival.job)) {
-        return 2;
-      }
-    }
   }
 
   EdgeList edges;
@@ -780,11 +522,7 @@ int main(int argc, char** argv) {
     }
     edges = std::move(loaded).value();
   } else {
-    RmatOptions rmat;
-    rmat.scale = options.rmat_scale;
-    rmat.edge_factor = options.rmat_edge_factor;
-    rmat.seed = options.rmat_seed;
-    edges = GenerateRmat(rmat);
+    edges = GenerateRmat(options.rmat);
   }
   if (options.source != kInvalidVertex && options.source >= edges.num_vertices()) {
     std::fprintf(stderr, "error: --source=%u is out of range: the graph has %u vertices\n",
@@ -794,49 +532,17 @@ int main(int argc, char** argv) {
   const VertexId source =
       options.source == kInvalidVertex ? PickSourceVertex(edges) : options.source;
 
-  PartitionOptions popts;
-  popts.num_partitions = options.partitions;
-  popts.partitioner = options.partitioner;
-  popts.core_subgraph = options.system != "cgraph-without";
-  const PartitionedGraph graph = PartitionedGraphBuilder::Build(edges, popts);
+  options.partition.core_subgraph = options.system != "cgraph-without";
+  const PartitionedGraph graph = PartitionedGraphBuilder::Build(edges, options.partition);
+  std::printf("graph: %u vertices, %zu edges, %u partitions (replication %.2f)\n",
+              edges.num_vertices(), edges.num_edges(), graph.num_partitions(),
+              graph.replication_factor());
 
-  EngineOptions engine_options;
-  engine_options.num_workers = options.workers;
-  engine_options.theta_scale = options.theta_scale;
-  engine_options.straggler_split = options.straggler_split;
-  if (options.chunk_grain > 0) {
-    engine_options.chunk_grain = options.chunk_grain;
-  }
-  if (options.sweep_threshold >= 0) {
-    engine_options.parallel_sweep_threshold = static_cast<uint32_t>(options.sweep_threshold);
-  }
-  engine_options.partitioner = options.partitioner;
-  engine_options.admission_policy = options.admission;
-  engine_options.execution_mode = options.execution;
-  if (options.staleness >= 0) {
-    engine_options.staleness = static_cast<uint32_t>(options.staleness);
-  }
-  if (options.defer_divisor >= 0) {
-    engine_options.async_defer_divisor = static_cast<uint32_t>(options.defer_divisor);
-  }
-  if (options.aging > 0.0) {
-    engine_options.admission_aging = options.aging;
-  }
-  if (options.max_jobs > 0) {
-    engine_options.max_jobs = options.max_jobs;
-  }
-  if (options.trigger_threshold >= 0) {
-    engine_options.parallel_trigger_threshold =
-        static_cast<uint32_t>(options.trigger_threshold);
-  }
-  engine_options.fault_specs = options.fault_specs;
-  engine_options.fault_seed = options.fault_seed;
-  engine_options.checkpoint_every = options.checkpoint_every;
-  engine_options.job_step_budget = options.job_step_budget;
+  EngineOptions& engine_options = options.engine;
+  engine_options.partitioner = options.partition.partitioner;
+  engine_options.use_scheduler = options.system != "cgraph-without";
 
   if (options.serve) {
-    engine_options.use_scheduler = options.system == "cgraph";
-
     std::vector<ServiceRequest> trace;
     if (!options.trace_file.empty()) {
       if (!LoadTrace(options.trace_file, &trace)) {
@@ -845,15 +551,8 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else {
-      TraceGenOptions tgen;
-      tgen.num_requests = options.trace_jobs;
-      tgen.pattern = options.trace_pattern;
-      tgen.seed = options.trace_seed;
-      tgen.mean_gap = options.trace_gap;
-      tgen.burst_size = options.trace_burst;
-      tgen.programs = options.jobs;
-      tgen.sources = PickSourcePool(edges, options.trace_sources);
-      trace = GenerateArrivalTrace(tgen);
+      options.trace.sources = PickSourcePool(edges, options.trace_sources);
+      trace = GenerateArrivalTrace(options.trace);
     }
     if (!options.trace_out.empty() && !SaveTrace(trace, options.trace_out)) {
       std::fprintf(stderr, "error: cannot write trace to '%s'\n",
@@ -862,72 +561,57 @@ int main(int argc, char** argv) {
     }
 
     LtpEngine engine(&graph, engine_options);
-    ServiceOptions sopts;
-    sopts.queue_bound = static_cast<size_t>(options.queue_bound);
-    sopts.deadline_steps = options.deadline_steps;
-    sopts.coalesce = options.coalesce;
-    sopts.retry_limit = static_cast<uint32_t>(options.retry_limit);
-    sopts.retry_backoff = options.retry_backoff;
-    ServiceDriver driver(&engine, sopts);
+    ServiceDriver driver(&engine, options.service);
     const ServiceReport sreport = driver.Run(trace);
-
-    std::printf("graph: %u vertices, %zu edges, %u partitions (replication %.2f)\n",
-                edges.num_vertices(), edges.num_edges(), graph.num_partitions(),
-                graph.replication_factor());
     std::printf("system: %s daemon, %u workers, %s trace\n\n", options.system.c_str(),
-                options.workers,
-                options.trace_file.empty() ? ArrivalPatternName(options.trace_pattern)
+                engine_options.num_workers,
+                options.trace_file.empty() ? ArrivalPatternName(options.trace.pattern)
                                            : options.trace_file.c_str());
-    std::printf("requests     %llu (%llu completed, %llu shed, %llu coalesced, "
-                "%llu failed)\n",
-                static_cast<unsigned long long>(sreport.total_requests),
-                static_cast<unsigned long long>(sreport.completed_requests),
-                static_cast<unsigned long long>(sreport.shed_requests),
-                static_cast<unsigned long long>(sreport.coalesced_requests),
-                static_cast<unsigned long long>(sreport.failed_requests));
-    std::printf("jobs         %llu submitted, %llu executed, %llu shed while queued\n",
-                static_cast<unsigned long long>(sreport.submitted_jobs),
-                static_cast<unsigned long long>(sreport.executed_jobs),
-                static_cast<unsigned long long>(sreport.shed_jobs));
-    if (options.retry_limit > 0 || sreport.failed_jobs > 0 || sreport.cancelled_jobs > 0) {
-      std::printf("retries      %llu failed, %llu cancelled mid-run; %llu resubmitted, "
-                  "%llu resumed from checkpoints\n",
-                  static_cast<unsigned long long>(sreport.failed_jobs),
-                  static_cast<unsigned long long>(sreport.cancelled_jobs),
-                  static_cast<unsigned long long>(sreport.retried_jobs),
-                  static_cast<unsigned long long>(sreport.recovered_jobs));
+    std::printf("requests     %" PRIu64 " (%" PRIu64 " completed, %" PRIu64
+                " shed, %" PRIu64 " coalesced, %" PRIu64 " failed)\n",
+                sreport.total_requests, sreport.completed_requests, sreport.shed_requests,
+                sreport.coalesced_requests, sreport.failed_requests);
+    std::printf("jobs         %" PRIu64 " submitted, %" PRIu64 " executed, %" PRIu64
+                " shed while queued\n",
+                sreport.submitted_jobs, sreport.executed_jobs, sreport.shed_jobs);
+    if (options.service.retry_limit > 0 || sreport.failed_jobs > 0 ||
+        sreport.cancelled_jobs > 0) {
+      std::printf("retries      %" PRIu64 " failed, %" PRIu64 " cancelled mid-run; %" PRIu64
+                  " resubmitted, %" PRIu64 " resumed from checkpoints\n",
+                  sreport.failed_jobs, sreport.cancelled_jobs, sreport.retried_jobs,
+                  sreport.recovered_jobs);
     }
     std::printf("latency      p50 %.0f, p95 %.0f, p99 %.0f, mean %.1f, max %.0f steps\n",
                 sreport.p50_latency_steps, sreport.p95_latency_steps,
                 sreport.p99_latency_steps, sreport.mean_latency_steps,
                 sreport.max_latency_steps);
-    std::printf("throughput   %.2f completed requests/s over %.2fs wall (%llu steps)\n\n",
+    std::printf("throughput   %.2f completed requests/s over %.2fs wall (%" PRIu64
+                " steps)\n\n",
                 sreport.sustained_jobs_per_second, sreport.wall_seconds,
-                static_cast<unsigned long long>(sreport.final_step));
+                sreport.final_step);
     const RunReport engine_report = engine.Report();
     if (!options.values_out.empty() && !WriteFinalValues(engine, options.values_out)) {
       std::fprintf(stderr, "error: cannot write values to '%s'\n",
                    options.values_out.c_str());
       return 1;
     }
-    return WriteReportIfRequested(options, edges, graph, engine_report, engine_options,
+    return WriteReportIfRequested(options, edges, graph, engine_report,
                                   engine.faults_fired(), source, &sreport);
   }
 
   RunReport report;
   size_t faults_fired = 0;
-  if (is_cgraph_system) {
-    engine_options.use_scheduler = options.system == "cgraph";
+  if (options.cgraph()) {
     LtpEngine engine(&graph, engine_options);
     // Service API, not the legacy AddJob: up-front jobs beyond --max-jobs queue for
     // admission instead of tripping the batch wrapper's capacity CHECK.
-    for (const auto& name : options.jobs) {
+    for (const auto& name : options.trace.programs) {
       engine.Submit(MakeProgram(name, source));
     }
     // Online submissions ride the service API: each arrival becomes runnable after its
     // scheduling step and queues behind max_jobs if the engine is saturated.
     for (const auto& arrival : options.arrivals) {
-      engine.SubmitAt(MakeProgram(arrival.job, source), arrival.step);
+      engine.SubmitAt(MakeProgram(arrival.program, source), arrival.arrival_step);
     }
     engine.RunUntilIdle();
     if (engine_options.checkpoint_every > 0) {
@@ -960,30 +644,19 @@ int main(int argc, char** argv) {
   } else {
     BaselineOptions bopts;
     bopts.engine = engine_options;
-    if (options.system == "sequential") {
-      bopts.system = BaselineSystem::kSequential;
-    } else if (options.system == "seraph") {
-      bopts.system = BaselineSystem::kSeraph;
-    } else if (options.system == "seraph-vt") {
-      bopts.system = BaselineSystem::kSeraphVt;
-    } else if (options.system == "nxgraph") {
-      bopts.system = BaselineSystem::kNxgraph;
-    } else if (options.system == "clip") {
-      bopts.system = BaselineSystem::kClip;
-    } else {
-      std::fprintf(stderr, "error: unknown system '%s'\n", options.system.c_str());
-      return 2;
-    }
+    const std::string& s = options.system;
+    bopts.system = s == "sequential" ? BaselineSystem::kSequential
+                   : s == "seraph"   ? BaselineSystem::kSeraph
+                   : s == "seraph-vt" ? BaselineSystem::kSeraphVt
+                   : s == "nxgraph"  ? BaselineSystem::kNxgraph
+                                     : BaselineSystem::kClip;
     BaselineExecutor executor(&graph, bopts);
-    for (const auto& name : options.jobs) {
+    for (const auto& name : options.trace.programs) {
       executor.AddJob(MakeProgram(name, source));
     }
     report = executor.Run();
   }
 
-  std::printf("graph: %u vertices, %zu edges, %u partitions (replication %.2f)\n",
-              edges.num_vertices(), edges.num_edges(), graph.num_partitions(),
-              graph.replication_factor());
   std::printf("system: %s, %u workers, source %u\n\n", report.executor_name.c_str(),
               report.workers, source);
 
@@ -1003,6 +676,6 @@ int main(int argc, char** argv) {
   std::printf("\nLLC miss rate %.1f%%, volume into cache %s, disk I/O %s, wall %.2fs\n",
               report.cache.miss_rate() * 100, HumanBytes(report.cache.miss_bytes).c_str(),
               HumanBytes(report.memory.disk_bytes).c_str(), report.wall_seconds);
-  return WriteReportIfRequested(options, edges, graph, report, engine_options, faults_fired,
-                                source, nullptr);
+  return WriteReportIfRequested(options, edges, graph, report, faults_fired, source,
+                                nullptr);
 }
