@@ -13,7 +13,7 @@ constexpr size_t kHelpWidth = 88;
 }  // namespace
 
 void FlagSet::Section(std::string title, std::string requirement) {
-  flags_.push_back(Flag{"", "", std::move(title), {}, {}, "", false});
+  flags_.push_back(Flag{"", "", std::move(title), {}, {}, "", false, {}});
   requirement_ = std::move(requirement);
 }
 
@@ -44,7 +44,16 @@ void FlagSet::Custom(std::string name, std::string hint, std::string help,
   const auto same_name = [&name](const Flag& f) { return f.name == name; };
   CGRAPH_CHECK(!name.empty() && std::none_of(flags_.begin(), flags_.end(), same_name));
   flags_.push_back(Flag{std::move(name), std::move(hint), std::move(help), std::move(parse),
-                        std::move(show), requirement_, false});
+                        std::move(show), requirement_, false, {}});
+}
+
+void FlagSet::Excludes(std::string_view name, std::string other) {
+  const auto row = std::find_if(flags_.begin(), flags_.end(),
+                                [name](const Flag& f) { return !name.empty() && f.name == name; });
+  const auto same_other = [&other](const Flag& f) { return f.name == other; };
+  CGRAPH_CHECK(row != flags_.end() && other != name && !other.empty() &&
+               std::any_of(flags_.begin(), flags_.end(), same_other));
+  row->excludes.push_back(std::move(other));
 }
 
 Status FlagSet::Parse(int argc, const char* const* argv) {
@@ -76,6 +85,14 @@ Status FlagSet::Parse(int argc, const char* const* argv) {
     }
     flag->seen = true;
   }
+  for (const Flag& flag : flags_) {
+    for (const std::string& other : flag.excludes) {
+      if (flag.seen && Seen(other)) {
+        return Status::InvalidArgument("--" + flag.name + " and --" + other +
+                                       " are mutually exclusive");
+      }
+    }
+  }
   return Status::Ok();
 }
 
@@ -105,9 +122,12 @@ std::string FlagSet::Usage() const {
     out += head + (head.size() < kHelpColumn ? std::string(kHelpColumn - head.size(), ' ')
                                              : "\n" + std::string(kHelpColumn, ' '));
     const std::string value = flag.show();
-    const std::string help =
-        flag.help + " (default " + (value.empty() ? "none" : value) +
-        (flag.requirement.empty() ? "" : "; requires " + flag.requirement) + ")";
+    std::string help = flag.help + " (default " + (value.empty() ? "none" : value) +
+                       (flag.requirement.empty() ? "" : "; requires " + flag.requirement);
+    for (const std::string& other : flag.excludes) {
+      help += "; excludes --" + other;
+    }
+    help += ")";
     // Word-wrap at kHelpWidth, continuing under the help column.
     size_t column = kHelpColumn;
     for (const std::string_view word : SplitNonEmpty(help, " ")) {

@@ -3,7 +3,8 @@
 // numeric range, a list of names, or a custom parser. FlagSet parses argv into a Status
 // whose message names the flag and what it accepts, prints --help with every default
 // read from its bound field, and records which flags were seen, so a caller can reject
-// flags given outside their scope (CheckRequirement).
+// flags given outside their scope (CheckRequirement). Rows may exclude each other
+// (Excludes); Parse rejects such a pair.
 
 #ifndef SRC_COMMON_FLAGS_H_
 #define SRC_COMMON_FLAGS_H_
@@ -56,9 +57,12 @@ class FlagSet {
   void Custom(std::string name, std::string hint, std::string help,
               std::function<Status(std::string_view)> parse,
               std::function<std::string()> show);
+  // Tags row `name` as excluding row `other` (both registered): Parse rejects a command
+  // line that gives both, and --help lists the exclusion on `name`.
+  void Excludes(std::string_view name, std::string other);
 
   // Parses argv[1..argc): --help, -h, --switch or --name=value each. Stops at the first
-  // error; a flag given twice keeps its last value.
+  // error; a flag given twice keeps its last value. Then rejects excluded pairs.
   Status Parse(int argc, const char* const* argv);
   bool help_requested() const { return help_requested_; }
   bool Seen(std::string_view name) const;
@@ -75,6 +79,7 @@ class FlagSet {
     std::function<std::string()> show;
     std::string requirement;
     bool seen = false;
+    std::vector<std::string> excludes;  // Names of rows that may not be given with this.
   };
 
   std::string title_;

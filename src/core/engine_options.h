@@ -72,10 +72,12 @@ struct EngineOptions {
   // up to whole 64-vertex bitmask words so chunk claiming stays word-aligned.
   uint32_t chunk_grain = 256;
 
-  // Per-vertex bookkeeping sweeps (job init, activity refresh) run through the thread
-  // pool's batch dispatch when a partition has at least this many local vertices;
-  // smaller partitions stay inline because dispatch would cost more than the sweep.
-  // 0 forces the parallel path (used by tests to cover it on small fixtures).
+  // The per-job bookkeeping passes (job init, footprint and activity sweeps, mirror
+  // collect, push merge, broadcast and async deferred fold/flush) run through the thread
+  // pool's batch dispatch when one call moves at least this much work — vertices swept
+  // or mirror records moved; smaller calls stay inline because dispatch would cost more
+  // than the work. 0 forces the parallel path (used by tests to cover it on small
+  // fixtures). Modeled metrics and results are identical either way.
   uint32_t parallel_sweep_threshold = 1u << 13;
 
   // A trigger batch dispatches through the thread pool only when its jobs together hold

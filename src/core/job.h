@@ -84,6 +84,7 @@ class Job {
   // Per-partition activity for the job's *current* iteration.
   std::vector<DynamicBitset> active_;
   std::vector<uint32_t> active_count_;
+  // Driver-only: vector<bool> packs bits, so pool tasks never write these two.
   std::vector<bool> processed_;       // Partition handled in the current iteration?
   std::vector<bool> dirty_;           // Private partition touched since last Push?
   // Fraction of each partition's vertices whose state changed at the previous iteration;
@@ -92,12 +93,13 @@ class Job {
   uint32_t remaining_ = 0;            // Active partitions still to process this iteration.
   // Flat sync queue (baseline executors only; sorted by destination at push time).
   std::vector<SyncRecord> sync_buffer_;
-  // LTP push path: one bucket per destination partition, reused across iterations with
-  // capacity pre-reserved at admission (counting-sort semantics — records land grouped by
-  // destination, so the merge/broadcast sweeps stay successive per private partition
-  // without any std::sort).
-  std::vector<std::vector<BucketRecord>> sync_in_;     // Mirror deltas -> their masters.
-  std::vector<std::vector<BucketRecord>> broadcast_;   // Merged masters -> their mirrors.
+  // LTP push path: mirror deltas bound for their masters, one bucket per destination
+  // partition, reused across iterations with capacity pre-reserved at admission
+  // (counting-sort semantics — records land grouped by destination, so the merge sweep
+  // stays successive per private partition without any std::sort). Written by one
+  // collect task per job, drained by one merge task per bucket; released when the job
+  // finishes.
+  std::vector<std::vector<BucketRecord>> sync_in_;
   uint64_t iteration_ = 0;
   bool finished_ = false;
   JobStats stats_;

@@ -1,8 +1,8 @@
 #include "src/core/job_manager.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -14,25 +14,9 @@ namespace cgraph {
 
 namespace {
 
-// Chunk size for pool-dispatched bookkeeping sweeps. A multiple of 64 so concurrent
-// DynamicBitset::Set calls from different chunks always land in disjoint words.
-constexpr size_t kSweepGrain = 4096;
-
-// Runs body(begin, end) over disjoint subranges covering [0, n): inline below
-// `threshold` (dispatch would cost more than the sweep), otherwise through the pool's
-// allocation-free batch primitive in word-aligned chunks.
-void SweepRange(ThreadPool* pool, uint32_t num_workers, uint32_t threshold, size_t n,
-                FunctionRef<void(size_t, size_t)> body) {
-  if (pool == nullptr || num_workers <= 1 || n < threshold) {
-    body(0, n);
-    return;
-  }
-  const size_t chunks = (n + kSweepGrain - 1) / kSweepGrain;
-  pool->RunBatch(chunks, [&](size_t chunk) {
-    const size_t begin = chunk * kSweepGrain;
-    body(begin, std::min(begin + kSweepGrain, n));
-  });
-}
+// Vertices per SweepPartitions chunk. A multiple of 64 so concurrent DynamicBitset::Set
+// calls from different chunks always land in disjoint words.
+constexpr uint32_t kSweepGrain = 4096;
 
 // The initially-active predicate over a vertex's *freshly initialized* state — exactly
 // the state InitJob's fill sweep writes (InitialState with delta_next at the Acc
@@ -50,8 +34,10 @@ bool InitiallyActiveFresh(const VertexProgram& program, const LocalVertexInfo& i
 
 JobManager::JobManager(const PartitionedGraph& layout, GlobalTable* table,
                        Scheduler* scheduler, ThreadPool* pool, const EngineOptions& options)
-    : layout_(layout), table_(table), scheduler_(scheduler), pool_(pool), options_(options),
-      slot_jobs_(options.max_jobs, nullptr), policy_(MakeAdmissionPolicy(options)) {
+    : layout_(layout), table_(table), scheduler_(scheduler),
+      dispatch_(pool, options.num_workers, options.parallel_sweep_threshold),
+      options_(options), slot_jobs_(options.max_jobs, nullptr),
+      policy_(MakeAdmissionPolicy(options)) {
   CGRAPH_CHECK(table != nullptr);
   CGRAPH_CHECK(scheduler != nullptr);
   // Zero slots would livelock the drive loop: a due waiter could never be admitted.
@@ -65,6 +51,8 @@ JobManager::JobManager(const PartitionedGraph& layout, GlobalTable* table,
   if (options.checkpoint_every > 0) {
     checkpoints_ = std::make_unique<CheckpointStore>();
   }
+  all_partitions_.resize(layout.num_partitions());
+  std::iota(all_partitions_.begin(), all_partitions_.end(), PartitionId{0});
 }
 
 JobId JobManager::Submit(std::unique_ptr<VertexProgram> program, Timestamp submit_time,
@@ -91,25 +79,20 @@ void JobManager::ComputeFootprint(Job& job) {
   const PartitionedGraph& g = layout_;
   const VertexProgram& program = job.program();
   const double identity = AccIdentity(program.acc_kind());
-  job.footprint_.assign(g.num_partitions(), 0);
-  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    // Same per-vertex evaluation InitJob performs, without a private table: chunk counts
-    // are an order-independent integer sum, so the parallel sweep is deterministic.
-    const GraphPartition& part = g.partition(p);
-    std::atomic<uint32_t> total{0};
-    SweepRange(pool_, options_.num_workers, options_.parallel_sweep_threshold,
-               part.num_local_vertices(), [&](size_t begin, size_t end) {
-                 uint32_t count = 0;
-                 for (size_t i = begin; i < end; ++i) {
-                   const LocalVertexId v = static_cast<LocalVertexId>(i);
-                   if (InitiallyActiveFresh(program, part.vertex(v), identity)) {
-                     ++count;
-                   }
-                 }
-                 total.fetch_add(count, std::memory_order_relaxed);
-               });
-    job.footprint_[p] = total.load(std::memory_order_relaxed);
-  }
+  // Same per-vertex evaluation InitJob performs, without a private table.
+  const std::span<const uint32_t> counts =
+      SweepPartitions(all_partitions_, [&](PartitionId p, size_t begin, size_t end) {
+        const GraphPartition& part = g.partition(p);
+        uint32_t count = 0;
+        for (size_t i = begin; i < end; ++i) {
+          if (InitiallyActiveFresh(program, part.vertex(static_cast<LocalVertexId>(i)),
+                                   identity)) {
+            ++count;
+          }
+        }
+        return count;
+      });
+  job.footprint_.assign(counts.begin(), counts.end());
 }
 
 void JobManager::AdmitDue(uint64_t step) {
@@ -228,16 +211,13 @@ void JobManager::InitJob(Job& job, uint32_t slot) {
   job.processed_.assign(g.num_partitions(), false);
   job.dirty_.assign(g.num_partitions(), false);
   job.change_fraction_.assign(g.num_partitions(), 1.0);
-  // Sync buckets, pre-reserved to their tight per-iteration bounds so the push path never
+  // Sync buckets, pre-reserved to their tight per-iteration bound so the push path never
   // reallocates mid-run: partition p can receive at most one merge record per mirror of
-  // its masters and at most one broadcast record per mirror replica it hosts.
+  // its masters.
   job.sync_in_.resize(g.num_partitions());
-  job.broadcast_.resize(g.num_partitions());
   for (PartitionId p = 0; p < g.num_partitions(); ++p) {
     job.sync_in_[p].clear();
     job.sync_in_[p].reserve(g.partition(p).num_mirror_refs());
-    job.broadcast_[p].clear();
-    job.broadcast_[p].reserve(g.partition(p).mirror_locals().size());
   }
 
   const VertexProgram& program = job.program();
@@ -259,19 +239,19 @@ void JobManager::InitJob(Job& job, uint32_t slot) {
   }
 
   for (PartitionId p = 0; p < g.num_partitions(); ++p) {
+    job.active_[p].Resize(g.partition(p).num_local_vertices());
+  }
+  // This fill (and the initial activity sweep over it) is what InitiallyActiveFresh
+  // mirrors for admission footprints — change them together.
+  SweepPartitions(all_partitions_, [&](PartitionId p, size_t begin, size_t end) {
     const GraphPartition& part = g.partition(p);
     auto states = job.table_.partition(p);
-    job.active_[p].Resize(part.num_local_vertices());
-    // This fill (and the initial activity sweep over it) is what InitiallyActiveFresh
-    // mirrors for admission footprints — change them together.
-    SweepRange(pool_, options_.num_workers, options_.parallel_sweep_threshold,
-               part.num_local_vertices(), [&](size_t begin, size_t end) {
-                 for (size_t v = begin; v < end; ++v) {
-                   states[v] = program.InitialState(part.vertex(static_cast<LocalVertexId>(v)));
-                   states[v].delta_next = identity;  // Acc must start at its identity.
-                 }
-               });
-  }
+    for (size_t v = begin; v < end; ++v) {
+      states[v] = program.InitialState(part.vertex(static_cast<LocalVertexId>(v)));
+      states[v].delta_next = identity;  // Acc must start at its identity.
+    }
+    return uint32_t{0};
+  });
   const uint64_t active = RefreshActivity(job, /*all_partitions=*/true, /*swap_buffers=*/false,
                                           /*initial=*/true);
   if (active == 0) {
@@ -318,12 +298,9 @@ void JobManager::RestoreJob(Job& job) {
   job.dirty_.assign(g.num_partitions(), false);
   job.change_fraction_.assign(g.num_partitions(), 0.0);
   job.sync_in_.resize(g.num_partitions());
-  job.broadcast_.resize(g.num_partitions());
   for (PartitionId p = 0; p < g.num_partitions(); ++p) {
     job.sync_in_[p].clear();
     job.sync_in_[p].reserve(g.partition(p).num_mirror_refs());
-    job.broadcast_[p].clear();
-    job.broadcast_[p].reserve(g.partition(p).mirror_locals().size());
   }
   // Masks, counts, fractions, and registrations are pure functions of the restored
   // states at an iteration boundary: the all-partition re-sweep reproduces them exactly
@@ -438,23 +415,55 @@ void JobManager::MaybeCheckpoint(Job& job) {
 uint64_t JobManager::RefreshActivity(Job& job, bool all_partitions, bool swap_buffers,
                                      bool initial) {
   const PartitionedGraph& g = layout_;
+  const VertexProgram& program = job.program();
+  const double identity = AccIdentity(program.acc_kind());
+  refresh_parts_.clear();
+  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
+    if (all_partitions || job.dirty_[p]) {
+      refresh_parts_.push_back(p);
+      job.active_[p].ClearAll();
+    }
+  }
+  // Per-vertex half, pooled: optional delta double-buffer swap, then the active-mask
+  // rebuild. Each chunk touches only its own vertices and bitmask words.
+  const std::span<const uint32_t> counts =
+      SweepPartitions(refresh_parts_, [&](PartitionId p, size_t begin, size_t end) {
+        const GraphPartition& part = g.partition(p);
+        auto states = job.table_.partition(p);
+        DynamicBitset& active = job.active_[p];
+        uint32_t count = 0;
+        for (size_t i = begin; i < end; ++i) {
+          const LocalVertexId v = static_cast<LocalVertexId>(i);
+          if (swap_buffers) {
+            states[v].delta = states[v].delta_next;
+            states[v].delta_next = identity;
+          }
+          const bool is_active = initial ? program.InitiallyActive(part.vertex(v), states[v])
+                                         : program.IsActive(states[v]);
+          if (is_active) {
+            active.Set(v);
+            ++count;
+          }
+        }
+        return count;
+      });
+  // Per-partition half, on the driver in ascending partition order: registrations and
+  // the scheduler's C(P) inputs.
   uint64_t total = 0;
   job.remaining_ = 0;
+  size_t next = 0;
   for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    if (!all_partitions && !job.dirty_[p]) {
+    if (next == refresh_parts_.size() || refresh_parts_[next] != p) {
       // Untouched partition: previous activity stands. It is necessarily zero — every
       // registered partition was processed (hence dirty) before Push ran.
       CGRAPH_DCHECK(job.active_count_[p] == 0);
       table_->Unregister(p, job.slot_);
       continue;
     }
-    const GraphPartition& part = g.partition(p);
-    const uint32_t count = SweepPartitionActivity(job, part, p, swap_buffers, initial);
+    const uint32_t count = counts[next++];
+    const uint32_t n = g.partition(p).num_local_vertices();
     job.active_count_[p] = count;
-    job.change_fraction_[p] =
-        part.num_local_vertices() == 0
-            ? 0.0
-            : static_cast<double>(count) / part.num_local_vertices();
+    job.change_fraction_[p] = n == 0 ? 0.0 : static_cast<double>(count) / n;
     scheduler_->SetStateChange(p, MeanStateChange(p));
     job.dirty_[p] = false;
     total += count;
@@ -469,37 +478,27 @@ uint64_t JobManager::RefreshActivity(Job& job, bool all_partitions, bool swap_bu
   return total;
 }
 
-uint32_t JobManager::SweepPartitionActivity(Job& job, const GraphPartition& part,
-                                            PartitionId p, bool swap_buffers, bool initial) {
-  const VertexProgram& program = job.program();
-  const double identity = AccIdentity(program.acc_kind());
-  auto states = job.table_.partition(p);
-  DynamicBitset& active = job.active_[p];
-  active.ClearAll();
-  // Chunk results are order-independent — the count is an integer sum and SweepRange's
-  // word-aligned grains keep concurrent Set() calls in disjoint bitmask words — so the
-  // parallel sweep is bit-identical to the serial one.
-  std::atomic<uint32_t> total{0};
-  SweepRange(pool_, options_.num_workers, options_.parallel_sweep_threshold,
-             part.num_local_vertices(), [&](size_t begin, size_t end) {
-               uint32_t count = 0;
-               for (size_t i = begin; i < end; ++i) {
-                 const LocalVertexId v = static_cast<LocalVertexId>(i);
-                 if (swap_buffers) {
-                   states[v].delta = states[v].delta_next;
-                   states[v].delta_next = identity;
-                 }
-                 const bool is_active = initial
-                                            ? program.InitiallyActive(part.vertex(v), states[v])
-                                            : program.IsActive(states[v]);
-                 if (is_active) {
-                   active.Set(v);
-                   ++count;
-                 }
-               }
-               total.fetch_add(count, std::memory_order_relaxed);
-             });
-  return total.load(std::memory_order_relaxed);
+std::span<const uint32_t> JobManager::SweepPartitions(
+    std::span<const PartitionId> parts, FunctionRef<uint32_t(PartitionId, size_t, size_t)> body) {
+  sweep_tasks_.clear();
+  uint64_t work = 0;
+  for (uint32_t i = 0; i < parts.size(); ++i) {
+    const uint32_t n = layout_.partition(parts[i]).num_local_vertices();
+    for (uint32_t begin = 0; begin < n; begin += kSweepGrain) {
+      sweep_tasks_.push_back(
+          SweepTask{i, parts[i], begin, std::min(begin + kSweepGrain, n), /*count=*/0});
+    }
+    work += n;
+  }
+  dispatch_.Run(sweep_tasks_.size(), work, [&](size_t t) {
+    SweepTask& task = sweep_tasks_[t];
+    task.count = body(task.partition, task.begin, task.end);
+  });
+  sweep_counts_.assign(parts.size(), 0);
+  for (const SweepTask& task : sweep_tasks_) {
+    sweep_counts_[task.part_index] += task.count;
+  }
+  return sweep_counts_;
 }
 
 bool JobManager::MarkProcessed(Job& job, PartitionId p) {
@@ -528,6 +527,12 @@ void JobManager::FinalizeJob(Job& job) {
   }
   table_->UnregisterEverywhere(job.slot_);
   job.remaining_ = 0;
+  // A finished job never pushes again: drop its per-iteration buffers so a long-lived
+  // service does not hold them for every job it ever ran. The private table stays — it
+  // holds the job's results.
+  job.sync_in_.clear();
+  job.active_.clear();
+  job.deferred_.clear();
   job.stats_.wall_seconds = elapsed_seconds_;
   job.stats_.finish_step = current_step_;
   slot_jobs_[job.slot_] = nullptr;

@@ -25,8 +25,10 @@
 
 #include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "src/common/function_ref.h"
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
 #include "src/core/admission_policy.h"
@@ -35,6 +37,7 @@
 #include "src/core/job.h"
 #include "src/core/scheduler.h"
 #include "src/partition/partitioned_graph.h"
+#include "src/runtime/pool_dispatch.h"
 #include "src/runtime/thread_pool.h"
 #include "src/storage/global_table.h"
 
@@ -105,7 +108,9 @@ class JobManager {
   // Activation tracing (paper section 3.2.2): recomputes the job's activity and
   // next-iteration global-table registration. `swap_buffers` applies the delta
   // double-buffer swap (post-Push); `all_partitions` sweeps everything instead of only
-  // dirty partitions; `initial` uses InitiallyActive.
+  // dirty partitions; `initial` uses InitiallyActive. The per-vertex sweep runs as pooled
+  // (partition, chunk) tasks; registrations and the scheduler's C(P) updates follow on
+  // the calling thread in ascending partition order.
   //
   // Pre:  the job is running (holds a slot).
   // Post: the global table registers exactly the partitions where the job has active
@@ -192,7 +197,8 @@ class JobManager {
   // boundary those are pure functions of the states, so the rebuild is exact.
   void RestoreJob(Job& job) CGRAPH_REQUIRES_DRIVER;
   // Completion bookkeeping without follow-on admission: final stats, registration
-  // teardown, slot release.
+  // teardown, slot release, and release of the push-path buffers (sync buckets,
+  // activity masks, deferred windows) that InitJob/RestoreJob rebuild on re-admission.
   void FinalizeJob(Job& job) CGRAPH_REQUIRES_DRIVER;
   // A free slot for `job`, or Job::kInvalidSlot when all are busy: the job's own id when
   // available (legacy bit-identity), else the smallest free one.
@@ -204,18 +210,21 @@ class JobManager {
   // decision with competing candidates.
   void ComputeFootprint(Job& job) CGRAPH_REQUIRES_DRIVER;
 
-  // Per-vertex activity sweep of one partition: optional delta double-buffer swap, then
-  // active-mask rebuild. Returns the partition's active count. Dispatches through the
-  // pool's batch primitive in word-aligned chunks when the partition is at least
-  // EngineOptions::parallel_sweep_threshold vertices (results are order-independent:
-  // integer counts and disjoint bitmask words).
-  uint32_t SweepPartitionActivity(Job& job, const GraphPartition& part, PartitionId p,
-                                  bool swap_buffers, bool initial) CGRAPH_REQUIRES_DRIVER;
+  // The one dispatch path of the per-vertex bookkeeping sweeps (init fill, footprints,
+  // activity refresh): runs body(p, begin, end) over kSweepGrain-vertex chunks of every
+  // partition in `parts`, one pool task per chunk when those partitions together hold at
+  // least EngineOptions::parallel_sweep_threshold vertices, inline otherwise. body returns
+  // a per-chunk count; the result holds their per-partition sums, indexed like `parts`
+  // and valid until the next call. Chunks are whole bitmask words, so bodies may Set()
+  // bits of a shared DynamicBitset, and integer sums make the result order-independent.
+  std::span<const uint32_t> SweepPartitions(
+      std::span<const PartitionId> parts,
+      FunctionRef<uint32_t(PartitionId, size_t, size_t)> body) CGRAPH_REQUIRES_DRIVER;
 
   const PartitionedGraph& layout_;
   GlobalTable* table_;
   Scheduler* scheduler_;
-  ThreadPool* pool_;
+  PoolDispatch dispatch_;
   EngineOptions options_;
 
   std::vector<std::unique_ptr<Job>> jobs_;
@@ -235,6 +244,19 @@ class JobManager {
   uint32_t running_ CGRAPH_GUARDED_BY_DRIVER = 0;
   double elapsed_seconds_ CGRAPH_GUARDED_BY_DRIVER = 0.0;
   uint64_t current_step_ CGRAPH_GUARDED_BY_DRIVER = 0;
+  // SweepPartitions arenas, reused across calls: every partition id in order, the
+  // partitions a refresh sweeps, the chunk tasks, and the per-partition sums.
+  struct SweepTask {
+    uint32_t part_index;  // Index into the swept `parts` span.
+    PartitionId partition;
+    uint32_t begin;
+    uint32_t end;
+    uint32_t count;
+  };
+  std::vector<PartitionId> all_partitions_;
+  std::vector<PartitionId> refresh_parts_ CGRAPH_GUARDED_BY_DRIVER;
+  std::vector<SweepTask> sweep_tasks_;
+  std::vector<uint32_t> sweep_counts_ CGRAPH_GUARDED_BY_DRIVER;
 };
 
 }  // namespace cgraph

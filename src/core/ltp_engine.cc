@@ -28,7 +28,8 @@ LtpEngine::LtpEngine(const EngineOptions& options, const PartitionedGraph* graph
   pool_ = std::make_unique<ThreadPool>(options_.num_workers);
   manager_ = std::make_unique<JobManager>(base, global_table_.get(), scheduler_.get(),
                                           pool_.get(), options_);
-  push_ = std::make_unique<PushStage>(base, hierarchy_.get(), manager_.get(), options_);
+  push_ = std::make_unique<PushStage>(base, pool_.get(), hierarchy_.get(), manager_.get(),
+                                      options_);
   load_ = std::make_unique<LoadStage>(base, snapshots_, global_table_.get(),
                                       scheduler_.get(), hierarchy_.get(), manager_.get(),
                                       options_);
@@ -172,6 +173,9 @@ void LtpEngine::ProcessPartition(PartitionId p) {
     // Trigger: process the pinned structure for every job in the group.
     trigger_->Run(p, *group.structure, group.jobs);
     load_->Release(p, group);
+    // Collect every job's mirror deltas in one pooled batch; it touches only per-job
+    // state, so running it ahead of the ordered loop below changes no decision.
+    push_->Collect(p, group.jobs);
     // Push: per-job iteration bookkeeping; a job whose iteration completed pushes now.
     for (Job* job : group.jobs) {
       if (job->finished_) {
@@ -190,7 +194,6 @@ void LtpEngine::ProcessPartition(PartitionId p) {
           continue;
         }
       }
-      push_->CollectMirrorRecords(*job, p);
       if (manager_->MarkProcessed(*job, p)) {
         if (injector_.armed() &&
             injector_.Poll(FaultKind::kPushError, step_, job->id()) != nullptr) {

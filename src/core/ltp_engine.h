@@ -18,7 +18,9 @@
 // Wait() drives until a specific job completes. New jobs may be submitted between steps or
 // after the engine went idle — the paper's "allows to add new jobs into SJobs at runtime"
 // (section 3.4). Everything is deterministic and thread-free at this level (workers
-// parallelize only within a trigger), so arrival interleavings are reproducible in tests.
+// parallelize only the per-job data movement inside a step: trigger, mirror collect,
+// push merge/broadcast, activity sweeps), so arrival interleavings are reproducible in
+// tests.
 //
 // Run() survives as a one-shot batch wrapper over Submit/RunUntilIdle for legacy callers.
 //

@@ -1,7 +1,9 @@
 #include "src/core/push_stage.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -10,9 +12,13 @@
 
 namespace cgraph {
 
-PushStage::PushStage(const PartitionedGraph& layout, MemoryHierarchy* hierarchy,
-                     JobManager* manager, const EngineOptions& options)
-    : layout_(layout), hierarchy_(hierarchy), manager_(manager), options_(options) {
+PushStage::PushStage(const PartitionedGraph& layout, ThreadPool* pool,
+                     MemoryHierarchy* hierarchy, JobManager* manager,
+                     const EngineOptions& options)
+    : layout_(layout),
+      dispatch_(pool, options.num_workers, options.parallel_sweep_threshold),
+      hierarchy_(hierarchy), manager_(manager), options_(options),
+      touched_(layout.num_partitions(), 0) {
   CGRAPH_CHECK(hierarchy != nullptr);
   CGRAPH_CHECK(manager != nullptr);
   for (PartitionId p = 0; p < layout.num_partitions(); ++p) {
@@ -20,7 +26,16 @@ PushStage::PushStage(const PartitionedGraph& layout, MemoryHierarchy* hierarchy,
   }
 }
 
-void PushStage::CollectMirrorRecords(Job& job, PartitionId p) {
+void PushStage::Collect(PartitionId p, std::span<Job* const> jobs) {
+  const uint64_t work = uint64_t{layout_.partition(p).mirror_locals().size()} * jobs.size();
+  dispatch_.Run(jobs.size(), work, [&](size_t j) {
+    if (!jobs[j]->finished_) {
+      CollectMirrorRecords(*jobs[j], p);
+    }
+  });
+}
+
+void PushStage::CollectMirrorRecords(Job& job, PartitionId p) const {
   const GraphPartition& layout_part = layout_.partition(p);
   const double identity = AccIdentity(job.program().acc_kind());
   auto states = job.table_.partition(p);
@@ -39,6 +54,52 @@ void PushStage::CollectMirrorRecords(Job& job, PartitionId p) {
   }
 }
 
+uint64_t PushStage::Broadcast(Job& job, bool flush) {
+  const PartitionedGraph& g = layout_;
+  const AccKind kind = job.program().acc_kind();
+  const double identity = AccIdentity(kind);
+  uint64_t work = 0;
+  for (const PartitionId p : sources_) {
+    work += g.partition(p).num_mirror_refs();
+  }
+  task_records_.assign(sources_.size(), 0);
+  dispatch_.Run(sources_.size(), work, [&](size_t t) {
+    const PartitionId p = sources_[t];
+    const GraphPartition& part = g.partition(p);
+    auto states = job.table_.partition(p);
+    const std::span<const LocalVertexId> masters = part.replicated_masters();
+    const bool has_deferred = job.async_ && job.deferred_pending_[p] != 0;
+    uint64_t records = 0;
+    for (size_t i = 0; i < masters.size(); ++i) {
+      double delta = flush ? identity : states[masters[i]].delta_next;
+      if (has_deferred) {
+        delta = flush ? job.deferred_[p][i] : AccApply(kind, job.deferred_[p][i], delta);
+        job.deferred_[p][i] = identity;
+      }
+      if (delta == identity) {
+        continue;
+      }
+      // Replace, never combine: the mirror's own contribution was already merged into
+      // the master, and only this task writes this master's mirrors.
+      const std::span<const ReplicaRef> mirrors = part.mirrors_of(masters[i]);
+      for (const ReplicaRef& ref : mirrors) {
+        job.table_.partition(ref.partition)[ref.local].delta_next = delta;
+        // Load before store: after the first record the flag's cache line stays shared.
+        std::atomic_ref<uint8_t> touched(touched_[ref.partition]);
+        if (touched.load() == 0) {
+          touched.store(1);
+        }
+      }
+      records += mirrors.size();
+    }
+    if (has_deferred) {
+      job.deferred_pending_[p] = 0;
+    }
+    task_records_[t] = records;
+  });
+  return std::accumulate(task_records_.begin(), task_records_.end(), uint64_t{0});
+}
+
 void PushStage::Push(Job& job) {
   const PartitionedGraph& g = layout_;
   const AccKind kind = job.program().acc_kind();
@@ -49,28 +110,32 @@ void PushStage::Push(Job& job) {
   // buckets in partition order makes the updates successive per private partition — the
   // same access pattern the sort used to establish, hence the same charge model of one
   // private-partition access per distinct destination partition (in the swap sweep below)
-  // rather than one per record.
+  // rather than one per record. One task per non-empty bucket, each applied in record
+  // order, so floating-point sums do not depend on the worker count.
+  sources_.clear();
   uint64_t merged_records = 0;
   for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    std::vector<BucketRecord>& bucket = job.sync_in_[p];
-    if (bucket.empty()) {
-      continue;
+    if (!job.sync_in_[p].empty()) {
+      sources_.push_back(p);
+      job.dirty_[p] = true;
+      merged_records += job.sync_in_[p].size();
     }
+  }
+  dispatch_.Run(sources_.size(), merged_records, [&](size_t t) {
+    const PartitionId p = sources_[t];
+    std::vector<BucketRecord>& bucket = job.sync_in_[p];
     auto states = job.table_.partition(p);
     for (const BucketRecord& rec : bucket) {
       states[rec.local].delta_next = AccApply(kind, states[rec.local].delta_next, rec.delta);
     }
-    job.dirty_[p] = true;
-    merged_records += bucket.size();
     bucket.clear();  // Keeps capacity: the bucket is reused every iteration.
-  }
+  });
   job.stats_.push_updates += merged_records;
 
-  // Phase 2 (SortS + broadcast, same bucket scheme): merged master values are pushed back
-  // to mirrors so every replica agrees on next iteration's delta (and hence on activity
-  // and value updates). Only replicated masters can have mirrors to feed, so the source
-  // sweep walks the mirror index instead of every local vertex. Destinations are unique
-  // (a mirror has exactly one master), so per-bucket application order cannot matter.
+  // Phase 2 (SortS + broadcast): merged master values are pushed back to mirrors so every
+  // replica agrees on next iteration's delta (and hence on activity and value updates).
+  // Only replicated masters can have mirrors to feed, so the source sweep walks the
+  // mirror index instead of every local vertex, and writes each mirror directly.
   //
   // Async (docs/execution_modes.md): mirror->master flow above runs every iteration —
   // masters are always fresh — but this master->mirror broadcast may lag by up to
@@ -80,7 +145,6 @@ void PushStage::Push(Job& job) {
   // record per mirror. Exact for monotonic programs: min-windows are idempotent, and a
   // sum-window delivers each contribution exactly once (mirror application replaces, and
   // the mirror's own prior contribution was already merged upstream).
-  uint64_t broadcast_records = 0;
   bool sync_boundary = !job.async_ || job.since_sync_ >= options_.staleness;
   if (!sync_boundary && options_.async_defer_divisor > 0) {
     // Adaptive deferral: the staleness window is an upper bound, not a mandate. Count
@@ -102,31 +166,19 @@ void PushStage::Push(Job& job) {
     }
     sync_boundary = fresh * options_.async_defer_divisor < total_replicated_;
   }
+  sources_.clear();
+  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
+    const bool has_deferred = sync_boundary && job.async_ && job.deferred_pending_[p] != 0;
+    if (job.dirty_[p] || has_deferred) {
+      sources_.push_back(p);
+    }
+  }
   if (sync_boundary) {
+    job.stats_.push_updates += Broadcast(job, /*flush=*/false);
     for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-      const bool has_deferred = job.async_ && job.deferred_pending_[p] != 0;
-      if (!job.dirty_[p] && !has_deferred) {
-        continue;
-      }
-      const GraphPartition& part = g.partition(p);
-      auto states = job.table_.partition(p);
-      const std::span<const LocalVertexId> masters = part.replicated_masters();
-      for (size_t i = 0; i < masters.size(); ++i) {
-        const LocalVertexId v = masters[i];
-        double delta = states[v].delta_next;
-        if (has_deferred) {
-          delta = AccApply(kind, job.deferred_[p][i], delta);
-          job.deferred_[p][i] = identity;
-        }
-        if (delta == identity) {
-          continue;
-        }
-        for (const ReplicaRef& ref : part.mirrors_of(v)) {
-          job.broadcast_[ref.partition].push_back(BucketRecord{ref.local, delta});
-        }
-      }
-      if (has_deferred) {
-        job.deferred_pending_[p] = 0;
+      if (touched_[p] != 0) {
+        touched_[p] = 0;
+        job.dirty_[p] = true;
       }
     }
     job.since_sync_ = 0;
@@ -134,15 +186,18 @@ void PushStage::Push(Job& job) {
     // Deferred boundary: withhold the broadcast, Acc-folding each master's fresh delta
     // into the window accumulator *before* the phase-3 swap clears it. The master still
     // consumes its own delta via the swap — its copy and the mirrors' window entry are
-    // disjoint deliveries, so nothing is double-counted.
-    uint64_t deferred_now = 0;
-    for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-      if (!job.dirty_[p]) {
-        continue;
-      }
+    // disjoint deliveries, so nothing is double-counted. One task per dirty partition.
+    uint64_t work = 0;
+    for (const PartitionId p : sources_) {
+      work += g.partition(p).num_mirror_refs();
+    }
+    task_records_.assign(sources_.size(), 0);
+    dispatch_.Run(sources_.size(), work, [&](size_t t) {
+      const PartitionId p = sources_[t];
       const GraphPartition& part = g.partition(p);
       auto states = job.table_.partition(p);
       const std::span<const LocalVertexId> masters = part.replicated_masters();
+      uint64_t deferred_now = 0;
       for (size_t i = 0; i < masters.size(); ++i) {
         const LocalVertexId v = masters[i];
         if (states[v].delta_next == identity) {
@@ -152,24 +207,12 @@ void PushStage::Push(Job& job) {
         job.deferred_pending_[p] = 1;
         deferred_now += part.mirrors_of(v).size();
       }
-    }
-    job.stats_.deferred_pushes += deferred_now;
+      task_records_[t] = deferred_now;
+    });
+    job.stats_.deferred_pushes +=
+        std::accumulate(task_records_.begin(), task_records_.end(), uint64_t{0});
     ++job.since_sync_;
   }
-  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    std::vector<BucketRecord>& bucket = job.broadcast_[p];
-    if (bucket.empty()) {
-      continue;
-    }
-    auto states = job.table_.partition(p);
-    for (const BucketRecord& rec : bucket) {
-      states[rec.local].delta_next = rec.delta;  // Replace: mirror contribution was merged.
-    }
-    job.dirty_[p] = true;
-    broadcast_records += bucket.size();
-    bucket.clear();
-  }
-  job.stats_.push_updates += broadcast_records;
 
   // Phase 3: swap the double buffer on dirty partitions, recompute activity, and charge
   // the batched private-table accesses of the whole push.
@@ -189,36 +232,19 @@ void PushStage::Push(Job& job) {
   // and the refreshed activity is still zero. One flush suffices: it empties every
   // accumulator and nothing re-defers without Compute running.
   if (job.async_ && active_total == 0 && job.since_sync_ > 0) {
-    uint64_t flushed_records = 0;
+    sources_.clear();
     for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-      if (job.deferred_pending_[p] == 0) {
-        continue;
+      if (job.deferred_pending_[p] != 0) {
+        sources_.push_back(p);
       }
-      const GraphPartition& part = g.partition(p);
-      const std::span<const LocalVertexId> masters = part.replicated_masters();
-      for (size_t i = 0; i < masters.size(); ++i) {
-        if (job.deferred_[p][i] == identity) {
-          continue;
-        }
-        for (const ReplicaRef& ref : part.mirrors_of(masters[i])) {
-          job.broadcast_[ref.partition].push_back(BucketRecord{ref.local, job.deferred_[p][i]});
-        }
-        job.deferred_[p][i] = identity;
-      }
-      job.deferred_pending_[p] = 0;
     }
+    const uint64_t flushed_records = Broadcast(job, /*flush=*/true);
     for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-      std::vector<BucketRecord>& bucket = job.broadcast_[p];
-      if (bucket.empty()) {
+      if (touched_[p] == 0) {
         continue;
       }
-      auto states = job.table_.partition(p);
-      for (const BucketRecord& rec : bucket) {
-        states[rec.local].delta_next = rec.delta;  // Mirror slots are at the identity here.
-      }
+      touched_[p] = 0;
       job.dirty_[p] = true;
-      flushed_records += bucket.size();
-      bucket.clear();
       const ItemKey private_key{DataKind::kPrivate, job.id(), p, 0};
       job.stats_.charge +=
           hierarchy_->Access(private_key, job.table_.partition_bytes(p), /*pin=*/false);

@@ -19,6 +19,7 @@ ServiceDriver::ServiceDriver(LtpEngine* engine, const ServiceOptions& options)
   CGRAPH_CHECK(options.retry_limit == 0 ||
                (options.retry_limit <= kMaxRetryLimit && options.retry_backoff > 0 &&
                 options.retry_backoff <= kMaxRetryBackoff));
+  CGRAPH_CHECK(options.deadline_steps <= kMaxDeadlineSteps);
 }
 
 void ServiceDriver::AdmitRequest(const std::vector<ServiceRequest>& trace, size_t index,

@@ -50,12 +50,16 @@ namespace cgraph {
 // retry step can wrap.
 inline constexpr uint32_t kMaxRetryLimit = 32;
 inline constexpr uint64_t kMaxRetryBackoff = uint64_t{1} << 31;
+// Deadline bound: a deadline is an arrival or retry step plus deadline_steps, so with
+// deadline_steps <= kMaxDeadlineSteps it cannot wrap for any step the retry bounds
+// allow. A wrapped deadline would land before its arrival and shed the job at once.
+inline constexpr uint64_t kMaxDeadlineSteps = uint64_t{1} << 31;
 
 struct ServiceOptions {
   // Maximum jobs waiting for admission before arrivals shed at the door; 0 = unbounded.
   size_t queue_bound = 64;
   // Queue-wait deadline in scheduling steps (a job still *waiting* more than this many
-  // steps past its arrival is shed); 0 = no deadlines.
+  // steps past its arrival is shed); 0 = no deadlines, at most kMaxDeadlineSteps.
   uint64_t deadline_steps = 0;
   // Query fan-in on/off (off: every request submits its own job).
   bool coalesce = true;

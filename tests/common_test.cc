@@ -263,6 +263,28 @@ TEST(FlagSetTest, SectionRequirementsNameTheFirstSeenFlag) {
   EXPECT_TRUE(flags.CheckRequirement("--serve", true).ok());
 }
 
+TEST(FlagSetTest, ExcludedPairsAreRejectedAndListedInHelp) {
+  std::string graph;
+  std::string rmat;
+  bool serve = false;
+  FlagSet flags("test");
+  flags.String("graph", "FILE", "edge list", &graph);
+  flags.String("rmat", "S,EF", "generator", &rmat);
+  flags.Switch("serve", "daemon mode", &serve);
+  flags.Excludes("graph", "rmat");
+  EXPECT_TRUE(ParseFlags(flags, {"--graph=a.el", "--serve"}).ok());
+  EXPECT_EQ(ParseFlags(flags, {"--rmat=6,2"}).message(),
+            "--graph and --rmat are mutually exclusive");
+  FlagSet fresh("test");
+  fresh.String("graph", "FILE", "edge list", &graph);
+  fresh.String("rmat", "S,EF", "generator", &rmat);
+  fresh.Excludes("graph", "rmat");
+  // Either order of the two flags is rejected.
+  EXPECT_EQ(ParseFlags(fresh, {"--rmat=6,2", "--graph=a.el"}).message(),
+            "--graph and --rmat are mutually exclusive");
+  EXPECT_NE(fresh.Usage().find("excludes --rmat)"), std::string::npos) << fresh.Usage();
+}
+
 TEST(FlagSetTest, HelpListsEveryRowWithItsCurrentDefault) {
   uint32_t workers = 4;
   bool serve = false;

@@ -87,5 +87,20 @@ TEST(ServiceDeathTest, RetryScheduleThatCouldWrapAborts) {
   EXPECT_DEATH(ServiceDriver(&engine, sopts), "CHECK failed");
 }
 
+TEST(ServiceDeathTest, DeadlineThatCouldWrapAborts) {
+  const EdgeList edges = GenerateRing(8);
+  PartitionOptions popts;
+  popts.num_partitions = 2;
+  const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
+  EngineOptions options;
+  options.num_workers = 1;
+  LtpEngine engine(&pg, options);
+  ServiceOptions sopts;
+  sopts.deadline_steps = kMaxDeadlineSteps;
+  ServiceDriver accepted(&engine, sopts);
+  sopts.deadline_steps = kMaxDeadlineSteps + 1;
+  EXPECT_DEATH(ServiceDriver(&engine, sopts), "CHECK failed");
+}
+
 }  // namespace
 }  // namespace cgraph

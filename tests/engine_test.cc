@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/algorithms/bfs.h"
 #include "src/algorithms/factory.h"
@@ -309,33 +311,85 @@ TEST(EngineTest, SnapshotJobsSeeTheirVersions) {
   }
 }
 
-// Forcing every bookkeeping sweep through the pool's batch dispatch (threshold 0) must
-// not change any modeled metric: counts are integer sums and the active bitmask is
-// written in disjoint words, so chunk order cannot matter.
+// Forcing every pooled pass through the pool's batch dispatch (threshold 0: init and
+// activity sweeps, mirror collect, push merge and broadcast, async deferred folds and
+// flushes) must not change any modeled metric or converged value, and neither may the
+// worker count: counts are integer sums reduced on the driver, each destination bucket
+// merges in record order, every vertex slot has one writer, and every charge is made
+// on the driver in partition order.
 TEST(EngineTest, ParallelSweepThresholdZeroMatchesDefault) {
   const EdgeList edges = GenerateErdosRenyi(500, 4000, 37);
   const VertexId source = PickSourceVertex(edges);
   const PartitionedGraph pg = Partition(edges, 8);
   const CostModel cost;
+  const uint32_t default_threshold = test_support::TestEngineOptions().parallel_sweep_threshold;
 
-  auto run = [&](uint32_t threshold) {
+  struct Outcome {
+    std::string csv;
+    std::vector<std::vector<double>> values;  // FinalValues then FinalAux, per job.
+    uint64_t deferred_pushes = 0;
+  };
+  auto run = [&](uint32_t workers, uint32_t threshold, bool async) {
     EngineOptions options = test_support::TestEngineOptions();
+    options.num_workers = workers;
     options.parallel_sweep_threshold = threshold;
+    if (async) {
+      options.execution_mode = ExecutionMode::kAsync;
+      options.staleness = 2;
+      options.async_defer_divisor = 0;  // Defer every boundary the window allows.
+    }
     LtpEngine engine(&pg, options);
-    // Min-accumulator and exact-sum jobs only: deterministic even with 4 workers.
+    // Min/max-accumulator jobs only: their values do not depend on the trigger's
+    // scatter order, so they are exact at any worker count.
     engine.AddJob(std::make_unique<SsspProgram>(source));
     engine.AddJob(std::make_unique<BfsProgram>(source));
     engine.AddJob(std::make_unique<WccProgram>());
     engine.AddJob(std::make_unique<KCoreProgram>(3));
+    if (!async) {
+      engine.AddJob(std::make_unique<SccProgram>());  // Multi-phase: the kNewPhase path.
+    }
     RunReport report = engine.Run();
+    Outcome outcome;
     for (JobStats& job : report.jobs) {
       job.wall_seconds = 0.0;
+      outcome.deferred_pushes += job.deferred_pushes;
     }
     report.wall_seconds = 0.0;
-    return RunReportToCsv(report, cost);
+    report.workers = 1;  // The modeled-time columns divide by the worker count.
+    outcome.csv = RunReportToCsv(report, cost);
+    for (JobId id = 0; id < report.jobs.size(); ++id) {
+      outcome.values.push_back(engine.FinalValues(id));
+      outcome.values.push_back(engine.FinalAux(id));
+    }
+    return outcome;
+  };
+  // Bit-for-bit, so a NaN or a signed zero would show too.
+  auto same_bits = [](const std::vector<std::vector<double>>& a,
+                      const std::vector<std::vector<double>>& b) {
+    if (a.size() != b.size()) {
+      return false;
+    }
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].size() != b[i].size() ||
+          std::memcmp(a[i].data(), b[i].data(), a[i].size() * sizeof(double)) != 0) {
+        return false;
+      }
+    }
+    return true;
   };
 
-  EXPECT_EQ(run(0), run(test_support::TestEngineOptions().parallel_sweep_threshold));
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async staleness 2" : "bsp");
+    const Outcome serial = run(1, default_threshold, async);
+    if (async) {
+      EXPECT_GT(serial.deferred_pushes, 0u);  // The deferred fold and flush really ran.
+    }
+    for (const uint32_t threshold : {0u, default_threshold}) {
+      const Outcome pooled = run(4, threshold, async);
+      EXPECT_EQ(pooled.csv, serial.csv) << "threshold " << threshold;
+      EXPECT_TRUE(same_bits(pooled.values, serial.values)) << "threshold " << threshold;
+    }
+  }
 }
 
 TEST(EngineTest, ThetaDominanceSchedulerPrefersMoreJobs) {

@@ -1,12 +1,13 @@
-// Unit tests for the thread pool and dynamic-chunk parallel loops.
+// Unit tests for the thread pool and its threshold-gated dispatch.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
-#include "src/runtime/parallel_for.h"
+#include "src/runtime/pool_dispatch.h"
 #include "src/runtime/thread_pool.h"
 
 namespace cgraph {
@@ -119,62 +120,51 @@ TEST(ThreadPoolTest, RunBatchInterleavesWithQueueTasks) {
   EXPECT_EQ(queued.load(), 1);
 }
 
-TEST(ParallelForTest, CoversRangeExactlyOnce) {
+TEST(PoolDispatchTest, CoversEveryTaskExactlyOnce) {
   ThreadPool pool(4);
+  const PoolDispatch dispatch(&pool, 4, /*threshold=*/0);
   std::vector<std::atomic<int>> hits(10000);
-  ParallelForOptions options;
-  options.grain = 64;
-  ParallelFor(pool, hits.size(), options, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      hits[i].fetch_add(1);
-    }
-  });
+  dispatch.Run(hits.size(), hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) {
     EXPECT_EQ(h.load(), 1);
   }
 }
 
-TEST(ParallelForTest, ZeroElements) {
+TEST(PoolDispatchTest, ZeroTasks) {
   ThreadPool pool(2);
+  const PoolDispatch dispatch(&pool, 2, /*threshold=*/0);
   bool called = false;
-  ParallelFor(pool, 0, [&](size_t, size_t) { called = true; });
+  dispatch.Run(0, 0, [&](size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
-TEST(ParallelForTest, NonDynamicRunsInline) {
-  ThreadPool pool(4);
-  ParallelForOptions options;
-  options.dynamic = false;
-  int calls = 0;
-  ParallelFor(pool, 100, options, [&](size_t begin, size_t end) {
-    ++calls;
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 100u);
-  });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ParallelForTest, SumMatchesSerial) {
+TEST(PoolDispatchTest, SumMatchesSerial) {
   ThreadPool pool(8);
+  const PoolDispatch dispatch(&pool, 8, /*threshold=*/0);
   const size_t n = 100000;
   std::atomic<uint64_t> total{0};
-  ParallelFor(pool, n, [&](size_t begin, size_t end) {
-    uint64_t local = 0;
-    for (size_t i = begin; i < end; ++i) {
-      local += i;
-    }
-    total.fetch_add(local);
-  });
+  dispatch.Run(n, n, [&](size_t i) { total.fetch_add(i); });
   EXPECT_EQ(total.load(), n * (n - 1) / 2);
 }
 
-TEST(ParallelForTest, SmallRangeRunsInline) {
+// Below the threshold, with one worker, or without a pool, tasks run inline on the
+// calling thread in ascending index order.
+TEST(PoolDispatchTest, InlineCasesRunInOrderOnCaller) {
   ThreadPool pool(4);
-  ParallelForOptions options;
-  options.grain = 1024;
-  int calls = 0;
-  ParallelFor(pool, 10, options, [&](size_t, size_t) { ++calls; });
-  EXPECT_EQ(calls, 1);
+  const PoolDispatch below(&pool, 4, /*threshold=*/100);
+  const PoolDispatch one_worker(&pool, 1, /*threshold=*/0);
+  const PoolDispatch no_pool(nullptr, 4, /*threshold=*/0);
+  for (const PoolDispatch* dispatch : {&below, &one_worker, &no_pool}) {
+    std::vector<size_t> order;
+    const std::thread::id caller = std::this_thread::get_id();
+    dispatch->Run(50, /*work=*/99, [&](size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+    std::vector<size_t> expected(50);
+    std::iota(expected.begin(), expected.end(), 0);
+    EXPECT_EQ(order, expected);
+  }
 }
 
 }  // namespace

@@ -102,6 +102,7 @@ void RegisterFlags(FlagSet& flags, CliOptions& o) {
         return std::to_string(o.rmat.scale) + "," + std::to_string(o.rmat.edge_factor) +
                "," + std::to_string(o.rmat.seed);
       });
+  flags.Excludes("graph", "rmat");
   flags.List<std::string>(
       "jobs", "a,b,c",
       "programs to run (the trace's program mix under --serve): pagerank sssp scc bfs wcc "
@@ -153,7 +154,8 @@ void RegisterFlags(FlagSet& flags, CliOptions& o) {
                &e.straggler_split, false);
   flags.Number("chunk-grain", "N", "vertices per stolen work chunk", &e.chunk_grain, 1);
   flags.Number("sweep-threshold", "N",
-               "min partition vertices before bookkeeping sweeps use the thread pool (0 "
+               "min work (vertices swept or mirror records moved) before a bookkeeping "
+               "sweep, mirror collect or push merge/broadcast uses the thread pool (0 "
                "always parallel)",
                &e.parallel_sweep_threshold);
   flags.Number("trigger-threshold", "N",
@@ -208,6 +210,7 @@ void RegisterFlags(FlagSet& flags, CliOptions& o) {
              &e.execution_mode, {ExecutionMode::kBsp, ExecutionMode::kAsync},
              ExecutionModeName);
   flags.Switch("serve", "replay an arrival trace as a long-running service", &o.serve);
+  flags.Excludes("serve", "arrivals");
   flags.List<FaultSpec>(
       "inject-fault", "SPECS",
       "deterministic fault injection: KIND@STEP[:JOB],... with KIND one of load, trigger, "
@@ -266,7 +269,7 @@ void RegisterFlags(FlagSet& flags, CliOptions& o) {
                &o.service.queue_bound);
   flags.Number("deadline-steps", "N",
                "shed jobs still waiting N steps past arrival (0 = no deadlines)",
-               &o.service.deadline_steps);
+               &o.service.deadline_steps, 0, kMaxDeadlineSteps);
   flags.Switch("no-coalesce", "disable query fan-in (every request runs its own job)",
                &o.service.coalesce, false);
   flags.Number("retry-limit", "N",
@@ -285,9 +288,6 @@ Status CheckCombinations(const CliOptions& o, const FlagSet& flags) {
     if (!status.ok()) {
       return status;
     }
-  }
-  if (o.serve && !o.arrivals.empty()) {
-    return Status::InvalidArgument("--serve and --arrivals are mutually exclusive");
   }
   if (o.engine.execution_mode == ExecutionMode::kAsync) {
     // Job names are validated at parse time, so the factory probe cannot trip on an
