@@ -1,17 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives underneath the LTP engine:
-// atomic accumulation, cache-simulator touches, partition construction, the sorted push,
-// and a full single-partition trigger.
+// atomic accumulation, cache-simulator touches, partition construction, and a full
+// single-partition trigger.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <memory>
-#include <vector>
 
 #include "src/algorithms/pagerank.h"
 #include "src/cache/cache_sim.h"
 #include "src/common/prng.h"
-#include "src/core/job.h"
 #include "src/core/ltp_engine.h"
 #include "src/graph/generators.h"
 #include "src/partition/partitioned_graph.h"
@@ -67,28 +64,6 @@ void BM_PartitionBuild(benchmark::State& state) {
                           static_cast<int64_t>(edges.num_edges()));
 }
 BENCHMARK(BM_PartitionBuild)->Arg(10)->Arg(12);
-
-void BM_PushSort(benchmark::State& state) {
-  Xoshiro256 rng(7);
-  std::vector<SyncRecord> records(static_cast<size_t>(state.range(0)));
-  for (auto& r : records) {
-    r.partition = static_cast<PartitionId>(rng.NextBounded(64));
-    r.local = static_cast<LocalVertexId>(rng.NextBounded(10000));
-    r.delta = rng.NextDouble();
-  }
-  for (auto _ : state) {
-    auto copy = records;
-    std::sort(copy.begin(), copy.end(), [](const SyncRecord& a, const SyncRecord& b) {
-      if (a.partition != b.partition) {
-        return a.partition < b.partition;
-      }
-      return a.local < b.local;
-    });
-    benchmark::DoNotOptimize(copy.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_PushSort)->Arg(1 << 12)->Arg(1 << 16);
 
 void BM_SinglePageRankIterationish(benchmark::State& state) {
   // End-to-end: one PageRank job over a small partitioned graph; measures the engine's

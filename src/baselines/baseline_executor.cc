@@ -1,11 +1,12 @@
 #include "src/baselines/baseline_executor.h"
 
 #include <algorithm>
-#include <atomic>
-#include <functional>
+#include <numeric>
+#include <string>
 
 #include "src/common/check.h"
 #include "src/common/prng.h"
+#include "src/common/status.h"
 #include "src/common/timer.h"
 
 namespace cgraph {
@@ -82,130 +83,120 @@ const GraphPartition& BaselineExecutor::ResolveData(const Job& job, PartitionId 
 
 JobId BaselineExecutor::AddJob(std::unique_ptr<VertexProgram> program, Timestamp submit_time) {
   CGRAPH_CHECK(!ran_);
-  const JobId id = static_cast<JobId>(jobs_.size());
-  jobs_.push_back(std::make_unique<Job>(id, std::move(program), submit_time));
-  Job& job = *jobs_.back();
-  job.stats_.job_name = std::string(job.program().name());
+  const JobId id = static_cast<JobId>(added_.size());
+  added_.emplace_back(std::move(program), submit_time);
   if (std::find(snapshot_ordinals_.begin(), snapshot_ordinals_.end(), submit_time) ==
       snapshot_ordinals_.end()) {
     snapshot_ordinals_.push_back(submit_time);
     std::sort(snapshot_ordinals_.begin(), snapshot_ordinals_.end());
   }
-  InitJob(job);
-  return id;
-}
-
-void BaselineExecutor::InitJob(Job& job) {
-  const PartitionedGraph& g = layout();
-  job.table_ = PrivateTable(g);
-  job.active_.resize(g.num_partitions());
-  job.active_count_.assign(g.num_partitions(), 0);
-  job.processed_.assign(g.num_partitions(), false);
-  job.dirty_.assign(g.num_partitions(), false);
-
-  const VertexProgram& program = job.program();
-  const double identity = AccIdentity(program.acc_kind());
-  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    const GraphPartition& part = g.partition(p);
-    auto states = job.table_.partition(p);
-    job.active_[p].Resize(part.num_local_vertices());
-    for (LocalVertexId v = 0; v < part.num_local_vertices(); ++v) {
-      states[v] = program.InitialState(part.vertex(v));
-      states[v].delta_next = identity;
-    }
-  }
-
   // Job-specific traversal order: a deterministic shuffle keyed by the job id. This is
   // the paper's "individual manner along different graph paths" — no two jobs stream the
   // shared partitions in the same order.
-  std::vector<PartitionId> order(g.num_partitions());
-  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    order[p] = p;
-  }
-  Xoshiro256 rng(0xC0FFEEull + job.id() * 7919ull);
+  std::vector<PartitionId> order(layout().num_partitions());
+  std::iota(order.begin(), order.end(), PartitionId{0});
+  Xoshiro256 rng(0xC0FFEEull + id * 7919ull);
   for (size_t i = order.size(); i > 1; --i) {
     std::swap(order[i - 1], order[rng.NextBounded(i)]);
   }
   traversal_order_.push_back(std::move(order));
   cursor_.push_back(0);
-
-  const uint64_t active =
-      RefreshActivity(job, /*all_partitions=*/true, /*swap_buffers=*/false, /*initial=*/true);
-  if (active == 0) {
-    job.finished_ = true;
-  }
+  return id;
 }
 
 RunReport BaselineExecutor::Run() {
   CGRAPH_CHECK(!ran_);
   ran_ = true;
+  ScopedThreadRole role(g_driver_role);
+  const PartitionedGraph& g = layout();
+
+  // Every added job is admitted up front, one slot each, so all of them run at once. The
+  // substrate runs BSP pushes only and takes no checkpoints: the baselines model
+  // synchronous engines, and the LTP engine's service features are not theirs.
+  EngineOptions engine = options_.engine;
+  engine.max_jobs = std::max<uint32_t>(1, static_cast<uint32_t>(added_.size()));
+  engine.admission_policy = AdmissionPolicyKind::kFifo;
+  engine.execution_mode = ExecutionMode::kBsp;
+  engine.checkpoint_every = 0;
+  global_table_ = std::make_unique<GlobalTable>(g.num_partitions(), engine.max_jobs);
+  scheduler_ = std::make_unique<Scheduler>(g, engine.use_scheduler, engine.theta_scale);
+  manager_ = std::make_unique<JobManager>(g, global_table_.get(), scheduler_.get(),
+                                          pool_.get(), engine);
+  trigger_ = std::make_unique<TriggerStage>(pool_.get(), hierarchy_.get(), engine);
+  push_ = std::make_unique<PushStage>(g, pool_.get(), hierarchy_.get(), manager_.get(), engine);
+  for (auto& [program, submit_time] : added_) {
+    manager_->Submit(std::move(program), submit_time, /*arrival_step=*/0);
+  }
+  added_.clear();
+  manager_->AdmitDue(0);
 
   WallTimer timer;
+  const size_t num_jobs = manager_->num_jobs();
   if (options_.system == BaselineSystem::kSequential) {
     // One job at a time, modeling a fresh engine process per job: both the cache and the
     // memory tier start cold, so every job re-streams the graph from disk — exactly the
     // "sequential way" the paper's Fig. 2 and Fig. 19 normalize against.
-    for (auto& job : jobs_) {
+    for (JobId id = 0; id < num_jobs; ++id) {
+      Job& job = manager_->job(id);
       hierarchy_->FlushCache();
       hierarchy_->ClearMemory();
-      while (!job->finished_) {
-        run_elapsed_ = timer.ElapsedSeconds();
-        StepJob(*job);
+      while (!job.finished()) {
+        manager_->set_elapsed_seconds(timer.ElapsedSeconds());
+        StepJob(job);
       }
     }
   } else {
     // Concurrent jobs: round-robin at partition granularity, which interleaves the
     // individual access streams in the shared LLC.
-    while (true) {
-      bool any = false;
-      for (auto& job : jobs_) {
-        if (!job->finished_) {
-          run_elapsed_ = timer.ElapsedSeconds();
-          StepJob(*job);
+    for (bool any = true; any;) {
+      any = false;
+      for (JobId id = 0; id < num_jobs; ++id) {
+        Job& job = manager_->job(id);
+        if (!job.finished()) {
+          manager_->set_elapsed_seconds(timer.ElapsedSeconds());
+          StepJob(job);
           any = true;
         }
       }
-      if (!any) {
-        break;
-      }
     }
   }
-  run_elapsed_ = timer.ElapsedSeconds();
 
   RunReport report;
   report.executor_name = BaselineSystemName(options_.system);
   report.workers = options_.engine.num_workers;
-  report.wall_seconds = run_elapsed_;
-  for (const auto& job : jobs_) {
-    report.jobs.push_back(job->stats());
+  report.wall_seconds = timer.ElapsedSeconds();
+  for (JobId id = 0; id < num_jobs; ++id) {
+    report.jobs.push_back(manager_->job(id).stats());
   }
   report.cache = hierarchy_->cache().stats();
   report.memory = hierarchy_->memory().stats();
-  report.partition = layout().quality();
+  report.partition = g.quality();
   return report;
 }
 
-bool BaselineExecutor::StepJob(Job& job) {
-  if (job.finished_) {
-    return false;
-  }
-  CGRAPH_CHECK(job.remaining_ > 0);
+void BaselineExecutor::StepJob(Job& job) {
   // Next unprocessed active partition in this job's own order.
   const auto& order = traversal_order_[job.id()];
   size_t& cur = cursor_[job.id()];
-  for (size_t scanned = 0; scanned < order.size(); ++scanned) {
+  bool found = false;
+  for (size_t scanned = 0; scanned < order.size() && !found; ++scanned) {
     const PartitionId p = order[cur];
     cur = (cur + 1) % order.size();
     if (job.active_count_[p] > 0 && !job.processed_[p]) {
       ProcessPartitionForJob(job, p);
-      if (job.remaining_ == 0) {
-        PushJob(job);
-      }
-      return !job.finished_;
+      found = true;
     }
   }
-  CGRAPH_CHECK(false);  // remaining_ > 0 but no partition found: bookkeeping bug.
-  return false;
+  if (!found) {
+    // A running job always holds an unprocessed active partition; losing track of it is
+    // this job's accounting failure alone.
+    job.fail_status_ = Status::Internal("StepJob: job " + std::to_string(job.id()) +
+                                        " is running with no unprocessed active partition");
+  }
+  // Per-job failure isolation, as in the engine's step loop: retire just this job.
+  if (!job.finished() && !job.fail_status_.ok()) {
+    manager_->FailJob(job, job.fail_status_);
+  }
 }
 
 void BaselineExecutor::ProcessPartitionForJob(Job& job, PartitionId p) {
@@ -216,71 +207,17 @@ void BaselineExecutor::ProcessPartitionForJob(Job& job, PartitionId p) {
       job.active_count_[p], part.num_local_vertices());
   job.stats_.charge +=
       hierarchy_->AccessPrefix(structure_key, part.structure_bytes(), touched, /*pin=*/true);
-  const ItemKey private_key{DataKind::kPrivate, job.id(), p, 0};
-  job.stats_.charge +=
-      hierarchy_->Access(private_key, job.table_.partition_bytes(p), /*pin=*/false);
-
-  // Trigger: this job alone, parallelized over its active vertices. Dispatch goes through
-  // the pool's allocation-free batch primitive: chunk starts are claimed from one atomic
-  // cursor shared by the drain tasks, no heap-allocated closures.
-  const size_t n = part.num_local_vertices();
-  const size_t grain = std::max<uint32_t>(1, options_.engine.chunk_grain);
-  std::atomic<size_t> cursor{0};
-  auto process_range = [&job, &part, p](size_t begin, size_t end) {
-    auto states = job.table_.partition(p);
-    ScatterOps ops(job.program().acc_kind(), states);
-    uint64_t vertex_computes = 0;
-    const DynamicBitset& active = job.active_[p];
-    for (size_t v = begin; v < end; ++v) {
-      if (active.Test(v)) {
-        job.program().Compute(part, static_cast<LocalVertexId>(v), states, ops);
-        ++vertex_computes;
-      }
-    }
-    std::atomic_ref<uint64_t>(job.stats_.vertex_computes)
-        .fetch_add(vertex_computes, std::memory_order_relaxed);
-    std::atomic_ref<uint64_t>(job.stats_.edge_traversals)
-        .fetch_add(ops.edge_traversals(), std::memory_order_relaxed);
-    std::atomic_ref<uint64_t>(job.stats_.compute_units)
-        .fetch_add(vertex_computes + ops.edge_traversals(), std::memory_order_relaxed);
-  };
-  const size_t num_tasks =
-      options_.engine.straggler_split ? options_.engine.num_workers : size_t{1};
-  pool_->RunBatch(num_tasks, [&](size_t) {
-    while (true) {
-      const size_t begin = cursor.fetch_add(grain, std::memory_order_relaxed);
-      if (begin >= n) {
-        return;
-      }
-      process_range(begin, std::min(begin + grain, n));
-    }
-  });
-
+  Job* const group[] = {&job};
+  trigger_->Run(p, part, group);
   if (options_.system == BaselineSystem::kClip) {
     ReentryRounds(job, p, part);
-    // Beyond-neighborhood stray reads: CLIP's Compute may read vertex *states* outside
-    // the loaded partition's neighborhood. Model: touch segments of this job's private
-    // tables of other partitions. They rarely hit, which is the locality CLIP trades
-    // away for its reduced total access volume.
-    SplitMix64 stray(0xBEEFull ^ (static_cast<uint64_t>(job.id()) << 32) ^
-                     (static_cast<uint64_t>(p) * 0x9e3779b97f4a7c15ULL) ^ job.iteration_);
-    const uint32_t parts = layout().num_partitions();
-    for (uint32_t i = 0; i < options_.clip_foreign_touches && parts > 1; ++i) {
-      PartitionId q = static_cast<PartitionId>(stray.Next() % parts);
-      if (q == p) {
-        q = (q + 1) % parts;
-      }
-      job.stats_.charge += hierarchy_->AccessSegment(
-          ItemKey{DataKind::kPrivate, job.id(), q, 0}, job.table_.partition_bytes(q),
-          static_cast<uint32_t>(stray.Next() & 0xFFFFu));
-    }
+    StrayReads(job, p);
   }
-
   hierarchy_->UnpinItem(structure_key, part.structure_bytes());
-  CollectMirrorRecords(job, p);
-  job.processed_[p] = true;
-  job.dirty_[p] = true;
-  --job.remaining_;
+  push_->Collect(p, group);
+  if (manager_->MarkProcessed(job, p)) {
+    push_->Push(job);
+  }
 }
 
 void BaselineExecutor::ReentryRounds(Job& job, PartitionId p, const GraphPartition& part) {
@@ -329,185 +266,31 @@ void BaselineExecutor::ReentryRounds(Job& job, PartitionId p, const GraphPartiti
   job.stats_.compute_units += vertex_computes + ops.edge_traversals();
 }
 
-void BaselineExecutor::CollectMirrorRecords(Job& job, PartitionId p) {
-  const GraphPartition& layout_part = layout().partition(p);
-  const double identity = AccIdentity(job.program().acc_kind());
-  auto states = job.table_.partition(p);
-  for (LocalVertexId v = 0; v < layout_part.num_local_vertices(); ++v) {
-    const LocalVertexInfo& info = layout_part.vertex(v);
-    if (info.is_master) {
-      continue;
+void BaselineExecutor::StrayReads(Job& job, PartitionId p) {
+  // Beyond-neighborhood stray reads: CLIP's Compute may read vertex *states* outside the
+  // loaded partition's neighborhood. Model: touch segments of this job's private tables
+  // of other partitions. They rarely hit, which is the locality CLIP trades away for its
+  // reduced total access volume.
+  SplitMix64 stray(0xBEEFull ^ (static_cast<uint64_t>(job.id()) << 32) ^
+                   (static_cast<uint64_t>(p) * 0x9e3779b97f4a7c15ULL) ^ job.iteration_);
+  const uint32_t parts = layout().num_partitions();
+  for (uint32_t i = 0; i < options_.clip_foreign_touches && parts > 1; ++i) {
+    PartitionId q = static_cast<PartitionId>(stray.Next() % parts);
+    if (q == p) {
+      q = (q + 1) % parts;
     }
-    if (states[v].delta_next != identity) {
-      job.sync_buffer_.push_back(
-          SyncRecord{info.master_partition, info.master_local, states[v].delta_next});
-      states[v].delta_next = identity;
-    }
+    job.stats_.charge += hierarchy_->AccessSegment(
+        ItemKey{DataKind::kPrivate, job.id(), q, 0}, job.table_.partition_bytes(q),
+        static_cast<uint32_t>(stray.Next() & 0xFFFFu));
   }
-}
-
-void BaselineExecutor::PushJob(Job& job) {
-  const PartitionedGraph& g = layout();
-  const AccKind kind = job.program().acc_kind();
-  const double identity = AccIdentity(kind);
-
-  std::sort(job.sync_buffer_.begin(), job.sync_buffer_.end(),
-            [](const SyncRecord& a, const SyncRecord& b) {
-              if (a.partition != b.partition) {
-                return a.partition < b.partition;
-              }
-              return a.local < b.local;
-            });
-  for (const SyncRecord& rec : job.sync_buffer_) {
-    auto states = job.table_.partition(rec.partition);
-    states[rec.local].delta_next = AccApply(kind, states[rec.local].delta_next, rec.delta);
-    job.dirty_[rec.partition] = true;
-  }
-  job.stats_.push_updates += job.sync_buffer_.size();
-  job.sync_buffer_.clear();
-
-  std::vector<SyncRecord> broadcast;
-  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    if (!job.dirty_[p]) {
-      continue;
-    }
-    const GraphPartition& part = g.partition(p);
-    auto states = job.table_.partition(p);
-    for (LocalVertexId v = 0; v < part.num_local_vertices(); ++v) {
-      const LocalVertexInfo& info = part.vertex(v);
-      if (!info.is_master || states[v].delta_next == identity) {
-        continue;
-      }
-      for (const ReplicaRef& ref : part.mirrors_of(v)) {
-        broadcast.push_back(SyncRecord{ref.partition, ref.local, states[v].delta_next});
-      }
-    }
-  }
-  std::sort(broadcast.begin(), broadcast.end(), [](const SyncRecord& a, const SyncRecord& b) {
-    if (a.partition != b.partition) {
-      return a.partition < b.partition;
-    }
-    return a.local < b.local;
-  });
-  for (const SyncRecord& rec : broadcast) {
-    auto states = job.table_.partition(rec.partition);
-    states[rec.local].delta_next = rec.delta;
-    job.dirty_[rec.partition] = true;
-  }
-  job.stats_.push_updates += broadcast.size();
-
-  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    if (job.dirty_[p]) {
-      const ItemKey private_key{DataKind::kPrivate, job.id(), p, 0};
-      job.stats_.charge +=
-          hierarchy_->Access(private_key, job.table_.partition_bytes(p), /*pin=*/false);
-    }
-  }
-  uint64_t active_now =
-      RefreshActivity(job, /*all_partitions=*/false, /*swap_buffers=*/true, /*initial=*/false);
-
-  ++job.iteration_;
-  job.stats_.iterations = job.iteration_;
-  std::fill(job.processed_.begin(), job.processed_.end(), false);
-
-  for (int guard = 0; guard < 1024; ++guard) {
-    VertexProgram::IterationContext context;
-    context.any_active = active_now > 0;
-    context.iteration = job.iteration_;
-    context.table = &job.table_;
-    context.layout = &g;
-    const auto action = job.program().OnIterationEnd(context);
-    if (action == VertexProgram::IterationAction::kFinished) {
-      FinishJob(job);
-      return;
-    }
-    if (action == VertexProgram::IterationAction::kContinue) {
-      if (active_now == 0 ||
-          job.iteration_ >= options_.engine.max_iterations_per_job) {
-        FinishJob(job);
-      }
-      return;
-    }
-    for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-      const GraphPartition& part = g.partition(p);
-      auto states = job.table_.partition(p);
-      for (LocalVertexId v = 0; v < part.num_local_vertices(); ++v) {
-        job.program().ReinitVertex(part.vertex(v), states[v]);
-      }
-      const ItemKey private_key{DataKind::kPrivate, job.id(), p, 0};
-      job.stats_.charge +=
-          hierarchy_->Access(private_key, job.table_.partition_bytes(p), /*pin=*/false);
-    }
-    active_now = RefreshActivity(job, /*all_partitions=*/true, /*swap_buffers=*/false,
-                                 /*initial=*/false);
-  }
-  CGRAPH_CHECK(false);  // Phase-change livelock guard.
-}
-
-uint64_t BaselineExecutor::RefreshActivity(Job& job, bool all_partitions, bool swap_buffers,
-                                           bool initial) {
-  const PartitionedGraph& g = layout();
-  const VertexProgram& program = job.program();
-  const double identity = AccIdentity(program.acc_kind());
-  uint64_t total = 0;
-  job.remaining_ = 0;
-  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    if (!all_partitions && !job.dirty_[p]) {
-      CGRAPH_DCHECK(job.active_count_[p] == 0);
-      continue;
-    }
-    const GraphPartition& part = g.partition(p);
-    auto states = job.table_.partition(p);
-    uint32_t count = 0;
-    job.active_[p].ClearAll();
-    for (LocalVertexId v = 0; v < part.num_local_vertices(); ++v) {
-      if (swap_buffers) {
-        states[v].delta = states[v].delta_next;
-        states[v].delta_next = identity;
-      }
-      const bool active = initial ? program.InitiallyActive(part.vertex(v), states[v])
-                                  : program.IsActive(states[v]);
-      if (active) {
-        job.active_[p].Set(v);
-        ++count;
-      }
-    }
-    job.active_count_[p] = count;
-    job.dirty_[p] = false;
-    total += count;
-    if (count > 0) {
-      ++job.remaining_;
-    }
-  }
-  return total;
-}
-
-void BaselineExecutor::FinishJob(Job& job) {
-  job.finished_ = true;
-  job.remaining_ = 0;
-  job.stats_.wall_seconds = run_elapsed_;
 }
 
 std::vector<double> BaselineExecutor::FinalValues(JobId id) const {
-  const Job& job = *jobs_[id];
-  const PartitionedGraph& g = layout();
-  std::vector<double> values(g.num_vertices(), 0.0);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const ReplicaRef master = g.master_of(v);
-    values[v] = job.table().partition(master.partition)[master.local].value;
-  }
-  return values;
+  return ReadMasters(layout(), manager_->job(id).table(), &VertexState::value);
 }
 
 std::vector<double> BaselineExecutor::FinalAux(JobId id) const {
-  const Job& job = *jobs_[id];
-  const PartitionedGraph& g = layout();
-  std::vector<double> values(g.num_vertices(), 0.0);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const ReplicaRef master = g.master_of(v);
-    values[v] = job.table().partition(master.partition)[master.local].aux;
-  }
-  return values;
+  return ReadMasters(layout(), manager_->job(id).table(), &VertexState::aux);
 }
 
 }  // namespace cgraph

@@ -1,10 +1,15 @@
-// Behavioural models of the systems CGraph is compared against (paper section 4).
+// Behavioural models of the systems CGraph is compared against (paper section 4), as
+// data-access policies over the LTP engine's own stages.
 //
-// All baselines execute the *same vertex programs* on the *same partitioned substrate*
-// and the *same simulated memory hierarchy* as the LTP engine, and converge to identical
-// results (asserted in tests). They differ from the LTP engine — and from each other —
-// only in the data-access policies that the paper identifies as the real systems'
-// distinguishing traits:
+// Every baseline runs the *same vertex programs* through the *same iteration substrate*
+// as the LTP engine: JobManager initializes jobs, refreshes their activity and finishes or
+// fails them; TriggerStage::Run triggers one job's partition and charges its private
+// table; PushStage collects mirror deltas and runs the iteration-boundary push (merge,
+// broadcast, buffer swap, OnIterationEnd). Results therefore converge to the engine's
+// (asserted in tests), and a program failure retires only its own job. What this file
+// keeps is only what the paper identifies as the real systems' distinguishing traits:
+// the loop that picks which job steps next, each job's traversal order, the structure
+// item a job loads (and pins around the trigger), and CLIP's extra local work:
 //
 //   Sequential  — the jobs run one after another ("the sequential way" of Fig. 2); the
 //                 cache is flushed between jobs; one shared in-memory structure copy.
@@ -29,16 +34,22 @@
 #define SRC_BASELINES_BASELINE_EXECUTOR_H_
 
 #include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cache/memory_hierarchy.h"
+#include "src/common/thread_annotations.h"
 #include "src/core/engine_options.h"
 #include "src/core/job.h"
+#include "src/core/job_manager.h"
+#include "src/core/push_stage.h"
+#include "src/core/scheduler.h"
+#include "src/core/trigger_stage.h"
 #include "src/core/vertex_program.h"
 #include "src/metrics/run_report.h"
 #include "src/partition/partitioned_graph.h"
 #include "src/runtime/thread_pool.h"
+#include "src/storage/global_table.h"
 #include "src/storage/snapshot_store.h"
 
 namespace cgraph {
@@ -75,13 +86,13 @@ class BaselineExecutor {
   BaselineExecutor(const BaselineExecutor&) = delete;
   BaselineExecutor& operator=(const BaselineExecutor&) = delete;
 
+  // Jobs are added before Run(); all of them run, concurrently unless the system is
+  // sequential.
   JobId AddJob(std::unique_ptr<VertexProgram> program, Timestamp submit_time = 0);
 
   RunReport Run();
 
-  const Job& job(JobId id) const { return *jobs_[id]; }
-  const MemoryHierarchy& hierarchy() const { return *hierarchy_; }
-
+  // Readback after Run(): value/aux of every global vertex, from master replicas.
   std::vector<double> FinalValues(JobId id) const;
   std::vector<double> FinalAux(JobId id) const;
 
@@ -91,16 +102,12 @@ class BaselineExecutor {
   ItemKey StructureKey(const Job& job, PartitionId p) const;
   const GraphPartition& ResolveData(const Job& job, PartitionId p) const;
 
-  void InitJob(Job& job);
-  // Processes the job's next unprocessed active partition; pushes at iteration end.
-  // Returns false when the job has nothing left to do (finished).
-  bool StepJob(Job& job);
-  void ProcessPartitionForJob(Job& job, PartitionId p);
+  // Processes the job's next unprocessed active partition in its own traversal order,
+  // pushing at its iteration boundary; a per-job failure retires the job.
+  void StepJob(Job& job) CGRAPH_REQUIRES_DRIVER;
+  void ProcessPartitionForJob(Job& job, PartitionId p) CGRAPH_REQUIRES_DRIVER;
   void ReentryRounds(Job& job, PartitionId p, const GraphPartition& part);
-  void CollectMirrorRecords(Job& job, PartitionId p);
-  void PushJob(Job& job);
-  uint64_t RefreshActivity(Job& job, bool all_partitions, bool swap_buffers, bool initial);
-  void FinishJob(Job& job);
+  void StrayReads(Job& job, PartitionId p);
 
   const PartitionedGraph* graph_ = nullptr;
   const SnapshotStore* snapshots_ = nullptr;
@@ -108,7 +115,14 @@ class BaselineExecutor {
 
   std::unique_ptr<MemoryHierarchy> hierarchy_;
   std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::unique_ptr<Job>> jobs_;
+  // Jobs added so far; Run() submits them once the slot count — one per job — is known.
+  std::vector<std::pair<std::unique_ptr<VertexProgram>, Timestamp>> added_;
+  // The engine's substrate, built by Run().
+  std::unique_ptr<GlobalTable> global_table_;
+  std::unique_ptr<Scheduler> scheduler_;
+  std::unique_ptr<JobManager> manager_;
+  std::unique_ptr<TriggerStage> trigger_;
+  std::unique_ptr<PushStage> push_;
   // Per-job traversal permutation ("different graph paths").
   std::vector<std::vector<PartitionId>> traversal_order_;
   // Per-job cursor into traversal_order_ for the current iteration.
@@ -116,7 +130,6 @@ class BaselineExecutor {
   // Distinct submit timestamps, sorted: plain Seraph materializes one full structure copy
   // per distinct snapshot.
   std::vector<Timestamp> snapshot_ordinals_;
-  double run_elapsed_ = 0.0;
   bool ran_ = false;
 };
 

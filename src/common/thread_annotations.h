@@ -104,7 +104,8 @@ inline ThreadRole g_driver_role;
 // Shorthand for the driver-thread discipline (docs/static_analysis.md): mutating
 // methods of the single-driver subsystems are REQUIRES_DRIVER, read-only queries that
 // must still not race with the driver are REQUIRES_DRIVER_SHARED, and the engine's
-// public entry points (plus ServiceDriver::Run) acquire the role via ScopedThreadRole.
+// public entry points (plus ServiceDriver::Run and BaselineExecutor::Run) acquire the
+// role via ScopedThreadRole.
 #define CGRAPH_REQUIRES_DRIVER CGRAPH_REQUIRES(::cgraph::g_driver_role)
 #define CGRAPH_REQUIRES_DRIVER_SHARED CGRAPH_REQUIRES_SHARED(::cgraph::g_driver_role)
 #define CGRAPH_GUARDED_BY_DRIVER CGRAPH_GUARDED_BY(::cgraph::g_driver_role)

@@ -17,17 +17,10 @@
 
 namespace cgraph {
 
-// A buffered mirror->master (or master->mirror) state-synchronization record; the
-// elements of the paper's S_new queue (Algorithm 1 line 6 / Algorithm 2).
-struct SyncRecord {
-  PartitionId partition = 0;   // Destination partition.
-  LocalVertexId local = 0;     // Destination local vertex.
-  double delta = 0.0;
-};
-
-// Bucketed sync record: the destination partition is implied by the bucket, so only the
-// local slot and the delta travel. Half the bytes of a SyncRecord, which matters because
-// the push stage streams millions of these per run.
+// A buffered mirror->master state-synchronization record, an element of the paper's
+// S_new queue (Algorithm 1 line 6 / Algorithm 2). The destination partition is implied by
+// the bucket the record sits in, so only the local slot and the delta travel — which
+// matters because the push stage streams millions of these per run.
 struct BucketRecord {
   LocalVertexId local = 0;
   double delta = 0.0;
@@ -91,9 +84,7 @@ class Job {
   // feeds the scheduler's C(P) term.
   std::vector<double> change_fraction_;
   uint32_t remaining_ = 0;            // Active partitions still to process this iteration.
-  // Flat sync queue (baseline executors only; sorted by destination at push time).
-  std::vector<SyncRecord> sync_buffer_;
-  // LTP push path: mirror deltas bound for their masters, one bucket per destination
+  // Push path: mirror deltas bound for their masters, one bucket per destination
   // partition, reused across iterations with capacity pre-reserved at admission
   // (counting-sort semantics — records land grouped by destination, so the merge sweep
   // stays successive per private partition without any std::sort). Written by one

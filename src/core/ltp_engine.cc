@@ -255,14 +255,7 @@ bool LtpEngine::HasCheckpoint(JobId id) const {
 }
 
 std::vector<double> LtpEngine::FinalValues(JobId id) const {
-  const Job& job = manager_->job(id);
-  const PartitionedGraph& g = layout();
-  std::vector<double> values(g.num_vertices(), 0.0);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const ReplicaRef master = g.master_of(v);
-    values[v] = job.table().partition(master.partition)[master.local].value;
-  }
-  return values;
+  return ReadMasters(layout(), manager_->job(id).table(), &VertexState::value);
 }
 
 Result<std::vector<double>> LtpEngine::TryFinalValues(JobId id) const {
@@ -290,14 +283,7 @@ Result<std::vector<double>> LtpEngine::TryFinalValues(JobId id) const {
 }
 
 std::vector<double> LtpEngine::FinalAux(JobId id) const {
-  const Job& job = manager_->job(id);
-  const PartitionedGraph& g = layout();
-  std::vector<double> values(g.num_vertices(), 0.0);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const ReplicaRef master = g.master_of(v);
-    values[v] = job.table().partition(master.partition)[master.local].aux;
-  }
-  return values;
+  return ReadMasters(layout(), manager_->job(id).table(), &VertexState::aux);
 }
 
 }  // namespace cgraph

@@ -19,7 +19,7 @@ TriggerStage::TriggerStage(ThreadPool* pool, MemoryHierarchy* hierarchy,
 }
 
 void TriggerStage::Run(PartitionId p, const GraphPartition& part,
-                       const std::vector<Job*>& group) {
+                       std::span<Job* const> group) {
   // Fully converged (job, partition) pairs have nothing to trigger: drop them before
   // batching so they occupy no batch slot and charge no private-table access. Activation
   // tracing only registers partitions that hold active vertices, so on a healthy engine

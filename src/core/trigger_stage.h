@@ -42,7 +42,7 @@ class TriggerStage {
   // Triggers partition p's loaded structure for every job in `group`, charging each
   // job's private-partition access as its batch rotates in. Fully converged (job,
   // partition) pairs — active count zero — are skipped before batching.
-  void Run(PartitionId p, const GraphPartition& part, const std::vector<Job*>& group)
+  void Run(PartitionId p, const GraphPartition& part, std::span<Job* const> group)
       CGRAPH_REQUIRES_DRIVER;
 
  private:

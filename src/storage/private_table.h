@@ -58,6 +58,18 @@ class PrivateTable {
   std::vector<std::vector<VertexState>> partitions_;
 };
 
+// Readback: `field` (e.g. &VertexState::value) of every global vertex of `layout`, taken
+// from its master replica in `table`.
+inline std::vector<double> ReadMasters(const PartitionedGraph& layout, const PrivateTable& table,
+                                       double VertexState::*field) {
+  std::vector<double> values(layout.num_vertices(), 0.0);
+  for (VertexId v = 0; v < layout.num_vertices(); ++v) {
+    const ReplicaRef master = layout.master_of(v);
+    values[v] = table.partition(master.partition)[master.local].*field;
+  }
+  return values;
+}
+
 }  // namespace cgraph
 
 #endif  // SRC_STORAGE_PRIVATE_TABLE_H_

@@ -1,11 +1,14 @@
 // Cross-validation of the baseline executors: every system must produce results
-// identical to the references (and hence to the LTP engine), and the systems'
-// data-access policies must exhibit the relationships the paper attributes to them.
+// identical to the references (and hence to the LTP engine), reproduce its committed
+// modeled golden, isolate a failing job like the engine does, and exhibit the
+// data-access relationships the paper attributes to it.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/algorithms/bfs.h"
 #include "src/algorithms/factory.h"
@@ -19,6 +22,7 @@
 #include "src/core/ltp_engine.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
+#include "src/metrics/csv_writer.h"
 #include "tests/testing/graph_fixtures.h"
 #include "tests/testing/test_helpers.h"
 
@@ -82,6 +86,60 @@ TEST_P(BaselineSystemTest, WccAndKcoreMatchReferences) {
   }
 }
 
+// A program that never settles: every iteration boundary asks for a new phase, so the
+// push stage's phase guard is its only way out.
+class SpinningPhaseProgram : public WccProgram {
+ public:
+  std::string_view name() const override { return "spin"; }
+  IterationAction OnIterationEnd(const IterationContext& context) override {
+    (void)context;
+    return IterationAction::kNewPhase;
+  }
+};
+
+// The phase guard fails only the spinning job: its sssp co-runner still converges to the
+// reference. `report` lists the spinner first.
+void ExpectPhaseGuardIsolated(const RunReport& report, const std::vector<double>& sssp,
+                              const Graph& g, VertexId source) {
+  ASSERT_EQ(report.jobs.size(), 2u);
+  EXPECT_TRUE(report.jobs[0].failed);
+  EXPECT_NE(report.jobs[0].fail_message.find("did not settle"), std::string::npos)
+      << report.jobs[0].fail_message;
+  EXPECT_NE(report.jobs[0].fail_message.find("phase guard"), std::string::npos)
+      << report.jobs[0].fail_message;
+  EXPECT_FALSE(report.jobs[1].failed);
+  test_support::ExpectNearValues(sssp, ReferenceSssp(g, source), 1e-12, "sssp");
+}
+
+TEST_P(BaselineSystemTest, PhaseGuardFailsOnlyTheSpinningJob) {
+  const EdgeList edges = Edges();
+  const VertexId source = PickSourceVertex(edges);
+  PartitionOptions popts;
+  popts.num_partitions = 8;
+  const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
+
+  BaselineExecutor executor(&pg, MakeOptions(GetParam()));
+  executor.AddJob(std::make_unique<SpinningPhaseProgram>());
+  const JobId ss = executor.AddJob(std::make_unique<SsspProgram>(source));
+  const RunReport report = executor.Run();
+  ExpectPhaseGuardIsolated(report, executor.FinalValues(ss), Graph::FromEdges(edges), source);
+}
+
+TEST(PhaseGuardTest, LtpEngineFailsOnlyTheSpinningJob) {
+  const EdgeList edges = test_support::FixedRmat(9, 8, 31);
+  const VertexId source = PickSourceVertex(edges);
+  PartitionOptions popts;
+  popts.num_partitions = 8;
+  const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
+
+  LtpEngine engine(&pg, test_support::TestEngineOptions());
+  engine.Submit(std::make_unique<SpinningPhaseProgram>());
+  const JobId ss = engine.Submit(std::make_unique<SsspProgram>(source)).id();
+  engine.RunUntilIdle();
+  ExpectPhaseGuardIsolated(engine.Report(), engine.FinalValues(ss), Graph::FromEdges(edges),
+                           source);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSystems, BaselineSystemTest,
                          ::testing::Values(BaselineSystem::kSequential,
                                            BaselineSystem::kSeraph,
@@ -92,6 +150,36 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, BaselineSystemTest,
                            name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
                            return name;
                          });
+
+// The refactor oracle: modeled CSVs of every system on the 8-program mix, captured before
+// the baselines moved onto the engine's stages, reproduced byte-for-byte at workers
+// {1, 4} with default (CLI) engine options.
+TEST(BaselineByteIdentityTest, ModeledCsvMatchesGolden) {
+  const EdgeList edges = test_support::FixedRmat(10, 8, 3);
+  const VertexId source = PickSourceVertex(edges);
+  PartitionOptions popts;
+  popts.num_partitions = 8;
+  const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
+  for (const BaselineSystem system :
+       {BaselineSystem::kSequential, BaselineSystem::kSeraph, BaselineSystem::kSeraphVt,
+        BaselineSystem::kNxgraph, BaselineSystem::kClip}) {
+    for (const uint32_t workers : {1u, 4u}) {
+      BaselineOptions options;
+      options.system = system;
+      options.engine.num_workers = workers;
+      BaselineExecutor executor(&pg, options);
+      for (const char* job : {"pagerank", "sssp", "wcc", "kcore", "scc", "ppr", "bfs", "khop"}) {
+        executor.AddJob(MakeProgram(job, source));
+      }
+      const std::string csv =
+          test_support::StripWallColumn(RunReportToCsv(executor.Run(), CostModel{}));
+      const std::string golden = test_support::ReadFileOrDie(
+          std::string(CGRAPH_TEST_SRCDIR) + "/tests/golden/baseline_" +
+          BaselineSystemName(system) + "_rmat10_w" + std::to_string(workers) + ".csv");
+      EXPECT_EQ(csv, golden) << BaselineSystemName(system) << " workers=" << workers;
+    }
+  }
+}
 
 // --- Policy property tests: the access-pattern differences the paper describes. ---
 

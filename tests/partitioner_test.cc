@@ -6,9 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -236,27 +234,6 @@ TEST(PartitionQualityTest, GreedyReplicatesLessThanEvenEdge) {
 
 // --- Engine-level contracts. ---
 
-// Wall time is the one machine-dependent CSV column; drop it (and the trailing comma)
-// from every row so the comparison is over the modeled, deterministic columns 1-13.
-std::string StripWallColumn(const std::string& csv) {
-  std::ostringstream out;
-  std::istringstream in(csv);
-  std::string line;
-  while (std::getline(in, line)) {
-    const size_t comma = line.rfind(',');
-    out << line.substr(0, comma) << '\n';
-  }
-  return out.str();
-}
-
-std::string ReadFileOrDie(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing golden file " << path;
-  std::ostringstream content;
-  content << in.rdbuf();
-  return content.str();
-}
-
 // Reproduces the exact pre-PR CLI workload (--rmat=10,8,3 --jobs=pagerank,sssp,wcc,
 // kcore --partitions=8) whose modeled CSV was captured before the partitioner layer
 // existed. The default even_edge strategy must reproduce it byte-for-byte — the
@@ -275,8 +252,9 @@ TEST(EvenEdgeByteIdentityTest, ModeledCsvMatchesPrePartitionerGolden) {
       engine.Submit(MakeProgram(job, source));
     }
     engine.RunUntilIdle();
-    const std::string csv = StripWallColumn(RunReportToCsv(engine.Report(), CostModel{}));
-    const std::string golden = ReadFileOrDie(
+    const std::string csv =
+        test_support::StripWallColumn(RunReportToCsv(engine.Report(), CostModel{}));
+    const std::string golden = test_support::ReadFileOrDie(
         std::string(CGRAPH_TEST_SRCDIR) + "/tests/golden/even_edge_rmat10_w" +
         std::to_string(workers) + ".csv");
     EXPECT_EQ(csv, golden) << "workers=" << workers;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <sstream>
 
 namespace cgraph {
 namespace test_support {
@@ -27,6 +29,25 @@ void ExpectNearValues(const std::vector<double>& actual,
       EXPECT_NEAR(actual[v], expected[v], tolerance) << what << " vertex " << v;
     }
   }
+}
+
+std::string StripWallColumn(const std::string& csv) {
+  std::ostringstream out;
+  std::istringstream in(csv);
+  std::string line;
+  while (std::getline(in, line)) {
+    const size_t comma = line.rfind(',');
+    out << line.substr(0, comma) << '\n';
+  }
+  return out.str();
+}
+
+std::string ReadFileOrDie(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing golden file " << path;
+  std::ostringstream content;
+  content << in.rdbuf();
+  return content.str();
 }
 
 }  // namespace test_support

@@ -1,5 +1,5 @@
-// Assertion and configuration helpers shared by the engine, baseline, and
-// integration suites.
+// Assertion, configuration, and golden-file helpers shared by the engine, baseline,
+// partitioner, and integration suites.
 
 #ifndef TESTS_TESTING_TEST_HELPERS_H_
 #define TESTS_TESTING_TEST_HELPERS_H_
@@ -22,6 +22,14 @@ EngineOptions TestEngineOptions(uint64_t cache_kib = 64);
 void ExpectNearValues(const std::vector<double>& actual,
                       const std::vector<double>& expected, double tolerance,
                       const std::string& what);
+
+// Wall time is the one machine-dependent CSV column; drops it (and the trailing comma)
+// from every row of a RunReportToCsv document so that comparisons cover only the
+// modeled, deterministic columns 1-13.
+std::string StripWallColumn(const std::string& csv);
+
+// The whole file at `path`; a missing file fails the calling test and returns "".
+std::string ReadFileOrDie(const std::string& path);
 
 }  // namespace test_support
 }  // namespace cgraph

@@ -148,8 +148,6 @@ void RegisterFlags(FlagSet& flags, CliOptions& o) {
               PartitionerKind::kGreedy, PartitionerKind::kDegree},
              PartitionerKindName);
   flags.Number("workers", "N", "worker threads", &e.num_workers, 1, 65535);
-  flags.Number("theta-scale", "X", "scale Eq. 1's theta (0 = pure N(P) ordering)",
-               &e.theta_scale, 0.0, 1.0);
   flags.Switch("no-straggler", "disable straggler splitting (one task per job)",
                &e.straggler_split, false);
   flags.Number("chunk-grain", "N", "vertices per stolen work chunk", &e.chunk_grain, 1);
@@ -166,8 +164,6 @@ void RegisterFlags(FlagSet& flags, CliOptions& o) {
                "overlap-admission score bonus per waited step; only jobs arriving within "
                "1/X steps of a due waiter can overtake it",
                &e.admission_aging, 0.0, std::numeric_limits<double>::max(), true);
-  flags.Number("max-jobs", "N", "concurrency slots before admission queues", &e.max_jobs, 1,
-               65535);
   flags.Number("staleness", "N",
                "async mirror-sync lag bound in iterations (0 degenerates to bsp)",
                &e.staleness, 0, 65535);
@@ -181,6 +177,10 @@ void RegisterFlags(FlagSet& flags, CliOptions& o) {
                &o.report_json);
 
   flags.Section("LTP engine only (docs/scheduling.md, docs/robustness.md)", kCgraphOnly);
+  flags.Number("theta-scale", "X", "scale Eq. 1's theta (0 = pure N(P) ordering)",
+               &e.theta_scale, 0.0, 1.0);
+  flags.Number("max-jobs", "N", "concurrency slots before admission queues", &e.max_jobs, 1,
+               65535);
   flags.List<ServiceRequest>(
       "arrivals", "J@S,...", "submit job J online after S partition-scheduling steps",
       &o.arrivals,
