@@ -1,11 +1,11 @@
 // Shared harness for the paper-reproduction benchmarks.
 //
-// Every bench binary regenerates one of the paper's tables/figures as stdout rows. The
-// harness fixes the comparison protocol: the five scaled stand-in datasets, a simulated
-// hierarchy whose capacities scale with the datasets (so the in-memory / out-of-core
-// regimes of the paper are preserved), the four-job benchmark mix (PageRank, SSSP, SCC,
-// BFS, submitted simultaneously, section 4), and runners for the LTP engine and every
-// baseline.
+// paper_figures regenerates the paper's tables and figures as stdout rows; the ablation
+// binaries each answer one design question. The harness fixes the comparison protocol:
+// the five scaled stand-in datasets, a simulated hierarchy whose capacities scale with
+// the datasets (so the in-memory / out-of-core regimes of the paper are preserved), and
+// the four-job benchmark mix (PageRank, SSSP, SCC, BFS, submitted simultaneously,
+// section 4).
 //
 // Every binary accepts the flags of BenchEnv::FromArgs; --help lists them.
 
@@ -15,7 +15,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,7 +26,6 @@
 #include "src/graph/datasets.h"
 #include "src/metrics/table_printer.h"
 #include "src/partition/partitioned_graph.h"
-#include "src/storage/snapshot_store.h"
 
 namespace cgraph::bench {
 
@@ -155,78 +153,6 @@ inline RunReport RunCgraph(const PreparedDataset& ds, const BenchEnv& env, size_
   RunReport report = engine.Run();
   report.executor_name = use_scheduler ? "CGraph" : "CGraph-without";
   return report;
-}
-
-// Runs a baseline system on the dataset with the job mix.
-inline RunReport RunBaseline(const PreparedDataset& ds, const BenchEnv& env,
-                             BaselineSystem system, size_t jobs) {
-  BaselineOptions options;
-  options.system = system;
-  options.engine = env.Engine();
-  BaselineExecutor executor(&ds.graph_flat, options);
-  AddMixJobs(executor, ds, jobs);
-  return executor.Run();
-}
-
-// --- Evolving-graph (snapshot) experiments, Figs. 16-19. ---
-
-struct EvolvingSetup {
-  std::unique_ptr<SnapshotStore> store;
-  std::vector<Timestamp> job_times;  // Submit time of job i (binds its snapshot).
-  VertexId source = 0;
-};
-
-// Builds a snapshot chain: job 0 runs on the base graph; each later job runs on a fresh
-// snapshot whose change ratio against the previous snapshot is `change_ratio`
-// (section 4.4's protocol).
-inline EvolvingSetup PrepareEvolving(const DatasetSpec& spec, const BenchEnv& env,
-                                     size_t num_jobs, double change_ratio) {
-  EvolvingSetup setup;
-  EdgeList edges = GenerateDataset(spec);
-  setup.source = PickSourceVertex(edges);
-  PartitionOptions popts;
-  popts.num_partitions = PartitionCountFor(edges, env);
-  popts.core_subgraph = true;
-  setup.store =
-      std::make_unique<SnapshotStore>(PartitionedGraphBuilder::Build(edges, popts));
-  setup.job_times.push_back(0);
-  for (size_t i = 1; i < num_jobs; ++i) {
-    const Timestamp ts = static_cast<Timestamp>(i) * 10;
-    setup.store->CreateSnapshot(ts, change_ratio, 0xE0E0ull + i);
-    setup.job_times.push_back(ts);
-  }
-  return setup;
-}
-
-inline RunReport RunCgraphEvolving(const EvolvingSetup& setup, const BenchEnv& env) {
-  EngineOptions options = env.Engine();
-  LtpEngine engine(setup.store.get(), options);
-  const auto names = BenchmarkJobNames(setup.job_times.size());
-  for (size_t i = 0; i < setup.job_times.size(); ++i) {
-    engine.AddJob(MakeProgram(names[i], setup.source), setup.job_times[i]);
-  }
-  RunReport report = engine.Run();
-  report.executor_name = "CGraph";
-  return report;
-}
-
-inline RunReport RunBaselineEvolving(const EvolvingSetup& setup, const BenchEnv& env,
-                                     BaselineSystem system) {
-  BaselineOptions options;
-  options.system = system;
-  options.engine = env.Engine();
-  BaselineExecutor executor(setup.store.get(), options);
-  const auto names = BenchmarkJobNames(setup.job_times.size());
-  for (size_t i = 0; i < setup.job_times.size(); ++i) {
-    executor.AddJob(MakeProgram(names[i], setup.source), setup.job_times[i]);
-  }
-  return executor.Run();
-}
-
-// Total data accessed below the LLC plus disk->memory traffic: the quantity whose
-// savings Fig. 19 reports.
-inline double TotalAccessedBytes(const RunReport& report) {
-  return static_cast<double>(report.cache.miss_bytes + report.memory.disk_bytes);
 }
 
 inline std::string Pct(double fraction) { return FormatDouble(fraction * 100.0, 1); }

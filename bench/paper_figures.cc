@@ -1,0 +1,663 @@
+// The paper's section 4 evaluation in one run: Table 1 and Figs. 1, 2 and 8-19, in order.
+// Every run goes through one cache keyed by its full input, so a run several figures read
+// happens once. Below each table, the figure's stated shape is checked on the printed
+// cells as `claim <id> holds|FAILS <measured> (paper <value>)` lines: orderings and trends
+// are asserted, the paper's magnitudes only printed (with their direction asserted). A
+// failing claim is part of the record, so the exit code is 0 either way;
+// tests/golden/paper_claims_shift-5.txt pins the outcomes at --scale-shift=-5.
+
+#include <algorithm>
+#include <cmath>
+#include <compare>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <map>
+#include <memory>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "bench/bench_common.h"
+#include "src/common/timer.h"
+#include "src/graph/graph.h"
+#include "src/graph/stats.h"
+#include "src/storage/snapshot_store.h"
+#include "src/trace/job_trace.h"
+
+namespace cgraph::bench {
+namespace {
+
+// A baseline executor, or the LTP engine (no baseline) with the Eq. 1 scheduler on the
+// core-subgraph layout (CGraph) or in index order on the flat layout (CGraph-without).
+struct System {
+  const char* name;
+  std::optional<BaselineSystem> baseline;
+};
+const System kClip{"CLIP", BaselineSystem::kClip};
+const System kNxgraph{"Nxgraph", BaselineSystem::kNxgraph};
+const System kSeraph{"Seraph", BaselineSystem::kSeraph};
+const System kSeraphVt{"Seraph-VT", BaselineSystem::kSeraphVt};
+const System kSequential{"Sequential", BaselineSystem::kSequential};
+const System kCgraph{"CGraph", std::nullopt};
+const System kCgraphWithout{"CGraph-without", std::nullopt};
+const CostModel kCost{};
+
+struct RunKey {
+  size_t dataset = 0;
+  bool core = false;  // Core-subgraph layout; false = plain vertex-cut.
+  uint32_t partitions = 0;
+  std::string system;
+  uint32_t workers = 0;
+  std::vector<std::string> jobs;  // Job i is submitted at time 10 * i.
+  double change_ratio = -1.0;     // Per-snapshot change of the chain; < 0 = static graph.
+  auto operator<=>(const RunKey&) const = default;
+};
+
+class Runner {
+ public:
+  explicit Runner(const BenchEnv& env)
+      : env_(env), specs_(BenchDatasets(env)), datasets_(specs_.size()) {}
+
+  const BenchEnv& env() const { return env_; }
+  size_t largest() const { return specs_.size() - 1; }  // hyperlink14-sim by default.
+  const std::string& name(size_t d) const { return specs_[d].name; }
+  std::vector<std::string> names() const {
+    std::vector<std::string> out;
+    for (const DatasetSpec& spec : specs_) {
+      out.push_back(spec.name);
+    }
+    return out;
+  }
+  size_t runs() const { return runs_; }
+
+  // Generates and partitions dataset d (for env().jobs jobs) on first use.
+  const PreparedDataset& Dataset(size_t d) {
+    if (!datasets_[d]) {
+      datasets_[d] = std::make_unique<PreparedDataset>(Prepare(specs_[d], env_));
+    }
+    return *datasets_[d];
+  }
+
+  // `jobs` (default: the benchmark mix of env().jobs jobs) on the static graph, with
+  // `workers` (default: env().workers).
+  const RunReport& Run(size_t d, const System& system, std::vector<std::string> jobs = {},
+                       uint32_t workers = 0) {
+    const bool core = &system == &kCgraph;
+    const PartitionedGraph& graph = core ? Dataset(d).graph : Dataset(d).graph_flat;
+    return Get(system, {d, core, graph.num_partitions(), system.name,
+                        workers > 0 ? workers : env_.workers,
+                        jobs.empty() ? BenchmarkJobNames(env_.jobs) : std::move(jobs), -1.0});
+  }
+  // `jobs` mix jobs, job i on the i-th snapshot of a chain whose change ratio against the
+  // previous snapshot is `ratio`, partitioned for `sizing_jobs` jobs (section 4.4).
+  const RunReport& Snapshots(size_t d, const System& system, size_t jobs, double ratio,
+                             uint32_t sizing_jobs) {
+    BenchEnv sizing = env_;
+    sizing.jobs = sizing_jobs;
+    return Get(system, {d, true, PartitionCountFor(Dataset(d).edges, sizing), system.name,
+                        env_.workers, BenchmarkJobNames(jobs), ratio});
+  }
+
+ private:
+  const RunReport& Get(const System& system, const RunKey& key) {
+    auto [it, fresh] = cache_.try_emplace(key);
+    if (fresh) {
+      it->second = Execute(system, key);
+      ++runs_;
+    }
+    return it->second;
+  }
+
+  RunReport Execute(const System& system, const RunKey& key) {
+    const PreparedDataset& ds = Dataset(key.dataset);
+    EngineOptions options = env_.Engine();
+    options.num_workers = key.workers;
+    auto run = [&](auto& executor) {
+      for (size_t i = 0; i < key.jobs.size(); ++i) {
+        executor.AddJob(MakeProgram(key.jobs[i], ds.source), static_cast<Timestamp>(i) * 10);
+      }
+      return executor.Run();
+    };
+    auto execute = [&](const auto* graph) {
+      if (!system.baseline) {
+        options.use_scheduler = key.core;
+        LtpEngine engine(graph, options);
+        return run(engine);
+      }
+      BaselineOptions baseline;
+      baseline.system = *system.baseline;
+      baseline.engine = options;
+      BaselineExecutor executor(graph, baseline);
+      return run(executor);
+    };
+    if (key.change_ratio < 0.0) {
+      return execute(key.core ? &ds.graph : &ds.graph_flat);
+    }
+    // One chain is kept at a time: the figures read each chain's runs together.
+    const auto chain =
+        std::make_tuple(key.dataset, key.partitions, key.jobs.size(), key.change_ratio);
+    if (!store_ || chain != chain_) {
+      PartitionOptions popts;
+      popts.num_partitions = key.partitions;
+      popts.core_subgraph = true;
+      store_ = std::make_unique<SnapshotStore>(PartitionedGraphBuilder::Build(ds.edges, popts));
+      for (size_t i = 1; i < key.jobs.size(); ++i) {
+        store_->CreateSnapshot(static_cast<Timestamp>(i) * 10, key.change_ratio, 0xE0E0ull + i);
+      }
+      chain_ = chain;
+    }
+    return execute(store_.get());
+  }
+
+  BenchEnv env_;
+  std::vector<DatasetSpec> specs_;
+  std::vector<std::unique_ptr<PreparedDataset>> datasets_;
+  std::map<RunKey, RunReport> cache_;
+  size_t runs_ = 0;
+  std::unique_ptr<SnapshotStore> store_;
+  std::tuple<size_t, uint32_t, size_t, double> chain_;
+};
+
+// The number a table cell shows ("1.203x / ..." reads as 1.203); NaN for "-".
+double Number(const std::string& cell) {
+  return cell == "-" ? std::nan("") : std::strtod(cell.c_str(), nullptr);
+}
+
+// A figure table that keeps its rows, so claims read back exactly the printed cells.
+class Table {
+ public:
+  explicit Table(std::vector<std::string> headers) : printer_(std::move(headers)) {}
+  void Add(std::vector<std::string> row) {
+    printer_.AddRow(row);
+    rows_.push_back(std::move(row));
+  }
+  // Prints the table and the blank line that follows every figure table.
+  void Print() const {
+    printer_.Print();
+    std::printf("\n");
+  }
+  size_t rows() const { return rows_.size(); }
+  size_t last() const { return rows_.size() - 1; }
+  const std::string& Cell(size_t row, size_t col) const { return rows_[row][col]; }
+  double At(size_t row, size_t col) const { return Number(rows_[row][col]); }
+  // The cells down column `col` from row `first` in steps of `stride`.
+  std::vector<std::string> Column(size_t col, size_t first = 0, size_t stride = 1) const {
+    std::vector<std::string> cells;
+    for (size_t row = first; row < rows_.size(); row += stride) {
+      cells.push_back(rows_[row][col]);
+    }
+    return cells;
+  }
+
+ private:
+  TablePrinter printer_;
+  std::vector<std::vector<std::string>> rows_;
+};
+
+struct Claims {
+  void Add(const std::string& id, bool holds, const std::string& measured,
+           const std::string& paper) {
+    std::printf("claim %s %s %s (paper %s)\n", id.c_str(), holds ? "holds" : "FAILS",
+                measured.c_str(), paper.c_str());
+    ++total;
+    failed += holds ? 0 : 1;
+  }
+
+  // Holds when ok(i) for every i in [first, end); the measured text counts the passes
+  // and spells out each failure as show(i).
+  void Every(const std::string& id, size_t first, size_t end,
+             const std::function<bool(size_t)>& ok,
+             const std::function<std::string(size_t)>& show, const std::string& paper) {
+    size_t held = 0;
+    std::string failures;
+    for (size_t i = first; i < end; ++i) {
+      const bool holds = ok(i);
+      held += holds ? 1 : 0;
+      failures += holds ? "" : (failures.empty() ? "; fails " : ", ") + show(i);
+    }
+    Add(id, held == end - first,
+        std::to_string(held) + "/" + std::to_string(end - first) + failures, paper);
+  }
+
+  // Holds when the cells never move against `rising` and end strictly past the first.
+  void Trend(const std::string& id, const std::vector<std::string>& cells, bool rising,
+             const std::string& paper) {
+    const double sign = rising ? 1.0 : -1.0;
+    bool holds = sign * (Number(cells.back()) - Number(cells.front())) > 0.0;
+    std::string measured = cells.front();
+    for (size_t i = 1; i < cells.size(); ++i) {
+      holds = holds && sign * (Number(cells[i]) - Number(cells[i - 1])) >= 0.0;
+      measured += " -> " + cells[i];
+    }
+    Add(id, holds, measured, paper);
+  }
+
+  size_t total = 0;
+  size_t failed = 0;
+};
+
+// Claims op(column col, column c) for every c in `others`, on every row from `first` on.
+template <typename Op>
+void Beats(Claims& claims, const Table& t, const std::string& id, size_t col, Op op,
+           const std::vector<size_t>& others, const std::string& paper, size_t first = 0) {
+  claims.Every(
+      id, first, t.rows(),
+      [&](size_t i) {
+        return std::all_of(others.begin(), others.end(),
+                           [&](size_t c) { return op(t.At(i, col), t.At(i, c)); });
+      },
+      [&](size_t i) {
+        std::string shown = t.Cell(i, 0) + " " + t.Cell(i, col) + " vs";
+        for (const size_t c : others) {
+          shown += " " + t.Cell(i, c);
+        }
+        return shown;
+      },
+      paper);
+}
+
+void Table1(Runner& runner, Claims&) {
+  std::printf("== Table 1: Data Sets Properties ==\n");
+  std::printf("(paper columns reproduced; -sim columns are this repo's scaled stand-ins,\n");
+  std::printf(" scale shift %d)\n\n", runner.env().scale_shift);
+  TablePrinter table({"Data set", "Paper V", "Paper E", "Paper size", "Sim V", "Sim E",
+                      "Sim size", "Sim avg deg", "Sim max deg", "Top-1% edge share"});
+  for (size_t d = 0; d <= runner.largest(); ++d) {
+    const PreparedDataset& ds = runner.Dataset(d);
+    const DatasetSpec& spec = ds.spec;
+    const Graph g = Graph::FromEdges(ds.edges);
+    const DegreeStats stats = ComputeDegreeStats(g);
+    table.AddRow({spec.paper_name, FormatDouble(spec.paper_vertices_m, 1) + " M",
+                  FormatDouble(spec.paper_edges_b, 1) + " B",
+                  FormatDouble(spec.paper_size_gb, 1) + " G", std::to_string(g.num_vertices()),
+                  std::to_string(g.num_edges()), HumanBytes(EstimateStructureBytes(ds.edges)),
+                  FormatDouble(stats.average_out_degree, 1),
+                  std::to_string(stats.max_out_degree),
+                  Pct(stats.edges_on_top_percent_hubs) + "%"});
+  }
+  table.Print();
+}
+
+// Figure 1: the concurrent-job trace, regenerated by the synthetic trace generator (the
+// paper's production trace is proprietary).
+void Fig01(Runner&, Claims& claims) {
+  const TraceSummary summary = GenerateJobTrace(TraceOptions{});
+  std::printf("== Figure 1(a): Number of CGP jobs over time (hourly, sampled every 6h) ==\n");
+  TablePrinter jobs_table({"Hour", "Concurrent jobs"});
+  for (size_t i = 0; i < summary.points.size(); i += 6) {
+    jobs_table.AddRow({FormatDouble(summary.points[i].hour, 0),
+                       std::to_string(summary.points[i].concurrent_jobs)});
+  }
+  jobs_table.Print();
+  claims.Add("fig01.peak_jobs_above_20", summary.peak_concurrent_jobs > 20,
+             std::to_string(summary.peak_concurrent_jobs) + " at peak", ">20 at peak");
+  std::printf("mean concurrent jobs: %s\n\n",
+              FormatDouble(summary.mean_concurrent_jobs, 2).c_str());
+
+  std::printf("== Figure 1(b): Ratio of partitions shared by more than k jobs (%%) ==\n");
+  TablePrinter share_table({"Hour", ">1", ">2", ">4", ">8", ">16"});
+  for (size_t i = 0; i < summary.points.size(); i += 12) {
+    const auto& p = summary.points[i];
+    share_table.AddRow({FormatDouble(p.hour, 0), Pct(p.shared_ratio[0]), Pct(p.shared_ratio[1]),
+                        Pct(p.shared_ratio[2]), Pct(p.shared_ratio[3]), Pct(p.shared_ratio[4])});
+  }
+  share_table.Print();
+  const std::string shared = Pct(summary.mean_shared_by_more_than_one);
+  claims.Add("fig01.shared_by_more_than_one_above_75pct", Number(shared) > 75.0,
+             shared + "% time-average", ">75% of active partitions");
+}
+
+// Figure 2: per-job execution and data-access time on Seraph as n copies of one algorithm
+// run concurrently, normalized to the algorithm run the sequential way (a cold run in a
+// fresh engine). With n same-length jobs, a job's execution time is the run's makespan.
+void Fig02(Runner& runner, Claims& claims) {
+  const size_t d = std::min<size_t>(3, runner.largest());  // uk-union, as in section 2.1.
+  std::printf("== Figure 2: per-job cost on Seraph vs number of jobs (dataset %s) ==\n",
+              runner.name(d).c_str());
+  std::printf("values normalized to the same algorithm executed the sequential way\n\n");
+  Table exec_table({"Algorithm", "n=1", "n=2", "n=4", "n=8"});
+  Table access_table({"Algorithm", "n=1", "n=2", "n=4", "n=8"});
+  double concurrent_total_8 = 0.0;
+  double sequential_total_8 = 0.0;
+  for (const std::string algo : {"pagerank", "sssp", "scc", "bfs"}) {
+    const RunReport& seq_report = runner.Run(d, kSequential, {algo});
+    const double seq_time = seq_report.ModeledMakespan(kCost);
+    const double seq_access = seq_report.jobs[0].ModeledAccessTime(kCost, seq_report.workers);
+    std::vector<std::string> exec_row = {algo};
+    std::vector<std::string> access_row = {algo};
+    for (const size_t n : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      const RunReport& report = runner.Run(d, kSeraph, std::vector<std::string>(n, algo));
+      const double per_job_time = report.ModeledMakespan(kCost);
+      double access_total = 0.0;
+      for (const auto& job : report.jobs) {
+        access_total += kCost.AccessCost(job.charge);
+      }
+      const double per_job_access =
+          access_total / std::max<uint32_t>(1, std::min(report.workers, kCost.bandwidth_channels));
+      exec_row.push_back(Norm(per_job_time, seq_time));
+      access_row.push_back(Norm(per_job_access, seq_access));
+      if (n == 8) {
+        concurrent_total_8 += per_job_time;    // Makespan of the 8 concurrent copies.
+        sequential_total_8 += 8.0 * seq_time;  // 8 cold runs back to back.
+      }
+    }
+    exec_table.Add(exec_row);
+    access_table.Add(access_row);
+  }
+  std::printf("-- (a) average execution time of each job --\n");
+  exec_table.Print();
+  std::printf("-- (b) average data access time of each job --\n");
+  access_table.Print();
+  const std::string ratio = Norm(concurrent_total_8, sequential_total_8);
+  claims.Add("fig02.concurrent_beats_sequential", Number(ratio) < 1.0,
+             ratio + " of sequential at 8 jobs", "~0.60");
+  for (size_t i = 0; i < exec_table.rows(); ++i) {
+    const Table& e = exec_table;
+    claims.Trend("fig02." + e.Cell(i, 0) + "_per_job_time_grows_with_n",
+                 {e.Cell(i, 1), e.Cell(i, 2), e.Cell(i, 3), e.Cell(i, 4)}, true, "grows with n");
+  }
+}
+
+using Systems = std::vector<const System*>;
+const Systems kCompared = {&kClip, &kNxgraph, &kSeraph, &kCgraph};
+const Systems kSnapshotSystems = {&kSeraphVt, &kSeraph, &kCgraph};
+
+// A figure table: one row per label, cell(row, system) under each system's name, then an
+// optional extra(row) column.
+Table Grid(const std::string& header, const std::vector<std::string>& labels,
+           const Systems& systems, const std::function<std::string(size_t, const System&)>& cell,
+           const std::string& extra_header = "",
+           const std::function<std::string(size_t)>& extra = nullptr) {
+  std::vector<std::string> headers = {header};
+  for (const System* system : systems) {
+    headers.push_back(system->name);
+  }
+  if (extra) {
+    headers.push_back(extra_header);
+  }
+  Table t(headers);
+  for (size_t r = 0; r < labels.size(); ++r) {
+    std::vector<std::string> row = {labels[r]};
+    for (const System* system : systems) {
+      row.push_back(cell(r, *system));
+    }
+    if (extra) {
+      row.push_back(extra(r));
+    }
+    t.Add(row);
+  }
+  t.Print();
+  return t;
+}
+
+void Fig08(Runner& runner, Claims& claims) {
+  std::printf("== Figure 8: execution time for the four jobs without/with the scheduler ==\n");
+  std::printf("(normalized: CGraph-without = 100%%)\n\n");
+  auto time = [&](size_t d, const System& s) { return runner.Run(d, s).ModeledMakespan(kCost); };
+  const Table t = Grid("Data set", runner.names(), {&kCgraphWithout, &kCgraph},
+                       [&](size_t d, const System& s) {
+                         return Pct(time(d, s) / time(d, kCgraphWithout));
+                       });
+  Beats(claims, t, "fig08.cgraph_le_without", 2, std::less_equal<>(), {1},
+        "CGraph <= CGraph-without everywhere");
+  size_t best = 0;
+  for (size_t i = 1; i < t.rows(); ++i) {
+    best = t.At(i, 2) < t.At(best, 2) ? i : best;
+  }
+  claims.Add("fig08.biggest_win_on_largest", t.At(t.last(), 2) <= t.At(best, 2),
+             t.Cell(t.last(), 0) + " " + t.Cell(t.last(), 2) + "%; lowest: " + t.Cell(best, 0),
+             "biggest win on the largest dataset, 60.5% on hyperlink14");
+}
+
+void Fig09(Runner& runner, Claims& claims) {
+  auto time = [&](size_t d, const System& s) { return runner.Run(d, s).ModeledMakespan(kCost); };
+  auto vs = [&](size_t d, const System& s) { return Norm(time(d, s), time(d, kCgraph)) + "x"; };
+  std::printf("== Figure 9: total execution time for the four jobs (normalized to CLIP) ==\n\n");
+  const Table t = Grid(
+      "Data set", runner.names(), kCompared,
+      [&](size_t d, const System& s) { return Norm(time(d, s), time(d, kClip)); },
+      "CGraph speedup vs CLIP/Nx/Seraph",
+      [&](size_t d) { return vs(d, kClip) + " / " + vs(d, kNxgraph) + " / " + vs(d, kSeraph); });
+  Beats(claims, t, "fig09.cgraph_fastest", 4, std::less<>(), {1, 2, 3},
+        "CGraph fastest everywhere");
+  const size_t last = t.last();
+  claims.Add("fig09.largest_speedups_above_1",
+             t.At(last, 4) < std::min({t.At(last, 1), t.At(last, 2), t.At(last, 3)}),
+             t.Cell(last, 5) + " on " + t.Cell(last, 0), "3.29x / 4.32x / 2.31x on hyperlink14");
+}
+
+void Fig10(Runner& runner, Claims& claims) {
+  const size_t d = runner.largest();
+  std::printf("== Figure 10: execution time breakdown per job on %s ==\n\n",
+              runner.name(d).c_str());
+  Table t({"System", "Job", "Vertex processing (%)", "Data access (%)"});
+  for (const System* system : kCompared) {
+    const RunReport& report = runner.Run(d, *system);
+    for (const auto& job : report.jobs) {
+      const double compute = job.ModeledComputeTime(kCost, report.workers);
+      const double access = job.ModeledAccessTime(kCost, report.workers);
+      const double total = compute + access;
+      t.Add({system->name, job.job_name, Pct(total > 0 ? compute / total : 0.0),
+             Pct(total > 0 ? access / total : 0.0)});
+    }
+  }
+  t.Print();
+  auto dominates = [&](const char* id, size_t first, size_t end, size_t col, const char* paper) {
+    claims.Every(
+        id, first, end, [&](size_t i) { return t.At(i, col) > 50.0; },
+        [&](size_t i) { return t.Cell(i, 0) + "/" + t.Cell(i, 1) + " " + t.Cell(i, col) + "%"; },
+        paper);
+  };
+  const size_t first_cgraph = t.rows() - runner.env().jobs;
+  dominates("fig10.cgraph_vertex_processing_dominates", first_cgraph, t.rows(), 2,
+            "vertex processing dominates under CGraph");
+  dominates("fig10.baselines_data_access_dominates", 0, first_cgraph, 3,
+            "data access dominates under CLIP/Nxgraph/Seraph");
+}
+
+void Fig11(Runner& runner, Claims& claims) {
+  std::printf("== Figure 11: LLC miss rate (%%) for the four jobs ==\n\n");
+  const Table t = Grid("Data set", runner.names(), kCompared, [&](size_t d, const System& s) {
+    return Pct(runner.Run(d, s).cache.miss_rate());
+  });
+  Beats(claims, t, "fig11.clip_ge_nxgraph", 1, std::greater_equal<>(), {2},
+        "CLIP >= Nxgraph on every dataset");
+  Beats(claims, t, "fig11.nxgraph_ge_seraph", 2, std::greater_equal<>(), {3},
+        "Nxgraph >= Seraph on every dataset");
+  Beats(claims, t, "fig11.seraph_gt_cgraph", 3, std::greater<>(), {4},
+        "Seraph > CGraph on every dataset; Nxgraph 89.5% vs CGraph 29.6% on hyperlink14");
+}
+
+void Fig12(Runner& runner, Claims& claims) {
+  std::printf("== Figure 12: volume of data swapped into the cache (normalized to CLIP) ==\n\n");
+  auto bytes = [&](size_t d, const System& s) {
+    return static_cast<double>(runner.Run(d, s).cache.miss_bytes);
+  };
+  const Table t = Grid("Data set", runner.names(), kCompared, [&](size_t d, const System& s) {
+    return Norm(bytes(d, s), bytes(d, kClip));
+  });
+  Beats(claims, t, "fig12.clip_lt_nxgraph", 1, std::less<>(), {2},
+        "CLIP below Nxgraph (reentry cuts iterations)");
+  Beats(claims, t, "fig12.clip_lt_seraph", 1, std::less<>(), {3}, "CLIP below Seraph");
+  Beats(claims, t, "fig12.cgraph_lowest", 4, std::less<>(), {1, 2, 3}, "CGraph lowest of all");
+  claims.Add("fig12.largest_cgraph_below_clip", t.At(t.last(), 4) < 1.0,
+             t.Cell(t.last(), 4) + " of CLIP on " + t.Cell(t.last(), 0), "0.471 on hyperlink14");
+}
+
+// Figure 13: disk I/O of the mix, normalized to CLIP. The first three datasets fit the
+// memory tier, uk-union and hyperlink14 do not.
+void Fig13(Runner& runner, Claims& claims) {
+  auto disk = [&](size_t d, const System& s) {
+    return static_cast<double>(runner.Run(d, s).memory.disk_bytes);
+  };
+  std::printf(
+      "== Figure 13: I/O overhead for the four jobs (disk bytes; normalized to CLIP) ==\n\n");
+  const Table t = Grid(
+      "Data set", runner.names(), kCompared,
+      [&](size_t d, const System& s) {
+        return &s == &kClip ? std::string(disk(d, s) > 0 ? "1.000" : "0")
+                            : Norm(disk(d, s), disk(d, kClip));
+      },
+      "CGraph disk",
+      [&](size_t d) { return HumanBytes(runner.Run(d, kCgraph).memory.disk_bytes); });
+  const size_t in_memory = std::min<size_t>(3, t.rows());
+  claims.Every(
+      "fig13.in_memory_seraph_cgraph_near_zero_io", 0, in_memory,
+      [&](size_t i) { return std::max(t.At(i, 3), t.At(i, 4)) <= 0.1; },
+      [&](size_t i) { return t.Cell(i, 0) + " " + t.Cell(i, 3) + " / " + t.Cell(i, 4); },
+      "near zero on Twitter/Friendster/uk2007; asserted as <= 0.1 of CLIP");
+  Beats(claims, t, "fig13.out_of_core_cgraph_lt_seraph", 4, std::less<>(), {3},
+        "CGraph less I/O than Seraph on uk-union/hyperlink14", in_memory);
+}
+
+// Figure 14: the mix on the largest dataset as workers grow, normalized to CLIP at one
+// worker. Compute scales with cores, data access only up to the bandwidth width.
+void Fig14(Runner& runner, Claims& claims) {
+  const size_t d = runner.largest();
+  std::printf("== Figure 14: scalability on %s (normalized to CLIP @ 1 worker) ==\n\n",
+              runner.name(d).c_str());
+  const uint32_t workers[] = {1, 2, 4, 8, 16, 32};
+  auto time = [&](size_t r, const System& s) {
+    return runner.Run(d, s, {}, workers[r]).ModeledMakespan(kCost);
+  };
+  const Table t = Grid("Workers", {"1", "2", "4", "8", "16", "32"}, kCompared,
+                       [&](size_t r, const System& s) { return Norm(time(r, s), time(0, kClip)); });
+  auto gain = [&](size_t from, size_t to, size_t c) { return t.At(from, c) / t.At(to, c); };
+  auto speedup = [&](size_t c) {
+    return std::string(kCompared[c - 1]->name) + " " + FormatDouble(gain(0, t.last(), c), 3) + "x";
+  };
+  claims.Every(
+      "fig14.cgraph_scales_best", 1, 4,
+      [&](size_t c) { return gain(0, t.last(), 4) > gain(0, t.last(), c); },
+      [&](size_t c) { return speedup(4) + " vs " + speedup(c); },
+      "CGraph's 1 -> 32 worker speedup above every baseline's");
+  claims.Every(
+      "fig14.baselines_flatten", 1, 4,
+      [&](size_t c) { return gain(t.last() - 1, t.last(), c) < gain(0, 1, c); },
+      [&](size_t c) { return std::string(kCompared[c - 1]->name); },
+      "the baselines flatten: each one's last worker doubling gains less than its first");
+}
+
+void Fig15(Runner& runner, Claims& claims) {
+  std::printf("== Figure 15: CPU utilization (%%) for the four jobs ==\n\n");
+  const Table t = Grid("Data set", runner.names(), kCompared, [&](size_t d, const System& s) {
+    return Pct(runner.Run(d, s).CpuUtilization(kCost));
+  });
+  Beats(claims, t, "fig15.cgraph_highest", 4, std::greater<>(), {1, 2, 3},
+        "CGraph highest on every dataset");
+}
+
+void Fig16(Runner& runner, Claims& claims) {
+  const size_t d = runner.largest();
+  std::printf("== Figure 16: eight jobs over snapshots of %s with changes ==\n",
+              runner.name(d).c_str());
+  std::printf("(normalized to Seraph-VT at change ratio 0.005%%)\n\n");
+  const double ratios[] = {0.00005, 0.0005, 0.005, 0.05};
+  std::vector<std::string> labels;
+  for (const double ratio : ratios) {
+    labels.push_back(FormatDouble(ratio * 100.0, 3) + "%");
+  }
+  auto time = [&](size_t r, const System& s) {
+    return runner.Snapshots(d, s, 8, ratios[r], 8).ModeledMakespan(kCost);
+  };
+  const Table t = Grid("Changed edges", labels, kSnapshotSystems, [&](size_t r, const System& s) {
+    return Norm(time(r, s), time(0, kSeraphVt));
+  });
+  Beats(claims, t, "fig16.cgraph_best", 3, std::less<>(), {1, 2}, "CGraph best at every ratio");
+  claims.Trend("fig16.cgraph_grows_with_ratio", t.Column(3), true,
+               "grows with the ratio (fewer shared partitions across snapshots)");
+}
+
+// Figs. 17-19: 1, 2, 4 and 8 jobs on 5%-change snapshot chains of the largest dataset,
+// partitioned like the static graph.
+const size_t kJobCounts[] = {1, 2, 4, 8};
+const std::vector<std::string> kJobLabels = {"1", "2", "4", "8"};
+
+const RunReport& SnapshotRun(Runner& runner, size_t row, const System& system) {
+  return runner.Snapshots(runner.largest(), system, kJobCounts[row], 0.05, runner.env().jobs);
+}
+
+void Fig17(Runner& runner, Claims& claims) {
+  std::printf("== Figure 17: per-job breakdown on %s snapshots (5%% change) ==\n\n",
+              runner.name(runner.largest()).c_str());
+  Table t({"Jobs", "System", "Avg time (model units)", "Vertex processing (%)", "Data access (%)"});
+  for (size_t r = 0; r < kJobLabels.size(); ++r) {
+    for (const System* system : kSnapshotSystems) {
+      const RunReport& report = SnapshotRun(runner, r, *system);
+      double compute = 0.0;
+      double access = 0.0;
+      for (const auto& job : report.jobs) {
+        compute += job.ModeledComputeTime(kCost, report.workers);
+        access += job.ModeledAccessTime(kCost, report.workers);
+      }
+      const double total = compute + access;
+      t.Add({kJobLabels[r], system->name, FormatDouble(total / kJobCounts[r], 1),
+             Pct(total > 0 ? compute / total : 0.0), Pct(total > 0 ? access / total : 0.0)});
+    }
+  }
+  t.Print();
+  claims.Trend("fig17.cgraph_access_share_drops", t.Column(4, 2, 3), false,
+               "drops as jobs grow (more jobs amortize each load)");
+  claims.Trend("fig17.seraph_vt_access_share_grows", t.Column(4, 0, 3), true, "grows with jobs");
+  claims.Trend("fig17.seraph_access_share_grows", t.Column(4, 1, 3), true, "grows with jobs");
+}
+
+void Fig18(Runner& runner, Claims& claims) {
+  std::printf("== Figure 18: LLC miss rate (%%) vs number of jobs on %s snapshots ==\n\n",
+              runner.name(runner.largest()).c_str());
+  const Table t = Grid("Jobs", kJobLabels, kSnapshotSystems, [&](size_t r, const System& s) {
+    return Pct(SnapshotRun(runner, r, s).cache.miss_rate());
+  });
+  const double ratio = t.At(t.last(), 3) / t.At(0, 3);
+  claims.Add("fig18.cgraph_miss_rate_drops", ratio < 1.0,
+             Pct(ratio) + "% of its 1-job rate at 8 jobs", "32.8%");
+  claims.Trend("fig18.seraph_vt_miss_rate_rises", t.Column(1), true, "the baselines' rates rise");
+  claims.Trend("fig18.seraph_miss_rate_rises", t.Column(2), true, "the baselines' rates rise");
+}
+
+// Figure 19: share of the total accessed data (disk->memory plus memory->cache) each
+// system spares against running the same jobs sequentially on Seraph.
+void Fig19(Runner& runner, Claims& claims) {
+  std::printf("== Figure 19: ratio of spared accessed data (%%) vs sequential Seraph on %s ==\n\n",
+              runner.name(runner.largest()).c_str());
+  auto accessed = [&](size_t r, const System& s) {
+    const RunReport& report = SnapshotRun(runner, r, s);
+    return static_cast<double>(report.cache.miss_bytes + report.memory.disk_bytes);
+  };
+  const Table t = Grid("Jobs", kJobLabels, kSnapshotSystems, [&](size_t r, const System& s) {
+    const double sequential = accessed(r, kSequential);
+    return Pct(sequential <= 0.0 ? 0.0 : 1.0 - accessed(r, s) / sequential);
+  });
+  claims.Trend("fig19.seraph_vt_savings_grow", t.Column(1), true, "savings grow with job count");
+  claims.Trend("fig19.seraph_savings_grow", t.Column(2), true, "savings grow with job count");
+  claims.Trend("fig19.cgraph_savings_grow", t.Column(3), true, "savings grow with job count");
+  // One job is the same single job for every system; the orderings start at two.
+  Beats(claims, t, "fig19.cgraph_gt_seraph_vt", 3, std::greater<>(), {1}, "CGraph >> Seraph-VT", 1);
+  Beats(claims, t, "fig19.seraph_vt_gt_seraph", 1, std::greater<>(), {2}, "Seraph-VT > Seraph", 1);
+  const size_t last = t.last();
+  claims.Add("fig19.all_spare_at_8_jobs",
+             std::min({t.At(last, 1), t.At(last, 2), t.At(last, 3)}) > 0.0,
+             t.Cell(last, 3) + "% / " + t.Cell(last, 1) + "% / " + t.Cell(last, 2) + "%",
+             "65.9% / 39.5% / 31.3% (CGraph / Seraph-VT / Seraph)");
+}
+
+}  // namespace
+}  // namespace cgraph::bench
+
+int main(int argc, char** argv) {
+  using namespace cgraph::bench;
+  const cgraph::WallTimer timer;
+  Runner runner(BenchEnv::FromArgs(argc, argv));
+  Claims claims;
+  for (const auto figure : {Table1, Fig01, Fig02, Fig08, Fig09, Fig10, Fig11, Fig12, Fig13,
+                            Fig14, Fig15, Fig16, Fig17, Fig18, Fig19}) {
+    figure(runner, claims);
+    std::printf("\n");
+  }
+  std::printf("paper_figures: %zu distinct runs, %zu claims, %zu FAIL\n", runner.runs(),
+              claims.total, claims.failed);
+  std::fprintf(stderr, "paper_figures: %.1f wall seconds\n", timer.ElapsedSeconds());
+  return 0;
+}

@@ -8,8 +8,6 @@
 
 #include "src/cache/memory_hierarchy.h"
 #include "src/common/fault_injection.h"
-#include "src/metrics/cost_model.h"
-#include "src/partition/partition_quality.h"
 
 namespace cgraph {
 
@@ -53,9 +51,6 @@ struct EngineOptions {
   // Simulated LLC / memory / disk parameters (identical across compared systems).
   HierarchyOptions hierarchy;
 
-  // Modeled-time coefficients used by reports.
-  CostModel cost_model;
-
   // Priority-based partition loading (Eq. 1). Disabled = fixed index order, i.e. the
   // "CGraph-without" configuration of Fig. 8.
   bool use_scheduler = true;
@@ -64,12 +59,10 @@ struct EngineOptions {
   // N(P) ordering; 1 is the paper's setting).
   double theta_scale = 1.0;
 
-  // Straggler splitting: dynamic chunk stealing within a partition trigger (Fig. 6).
-  // Disabled = one task per (job, partition).
-  bool straggler_split = true;
-
-  // Vertices per work chunk when straggler splitting is on. The trigger stage rounds this
-  // up to whole 64-vertex bitmask words so chunk claiming stays word-aligned.
+  // Straggler splitting (Fig. 6): vertices per work chunk that any worker of a trigger
+  // batch may steal. The trigger stage rounds this up to whole 64-vertex bitmask words so
+  // chunk claiming stays word-aligned. A grain of at least the partition size disables
+  // stealing: one task per (job, partition).
   uint32_t chunk_grain = 256;
 
   // The per-job bookkeeping passes (job init, footprint and activity sweeps, mirror
@@ -90,13 +83,6 @@ struct EngineOptions {
 
   // Capacity of the global table's per-partition job set.
   uint32_t max_jobs = 64;
-
-  // Edge-placement strategy the graph was (or should be) built with (CLI:
-  // --partitioner; see docs/partitioning.md). Partitioning happens at graph-build time,
-  // before the engine exists, so this field is record-keeping the CLI wires into
-  // PartitionOptions::partitioner — Report() sources the measured quality indices from
-  // PartitionedGraph::quality(), the layout's own record, not from here.
-  PartitionerKind partitioner = PartitionerKind::kEvenEdge;
 
   // Job-level admission: which due waiter a freed slot admits (CLI: --admission).
   AdmissionPolicyKind admission_policy = AdmissionPolicyKind::kFifo;

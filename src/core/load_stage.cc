@@ -7,14 +7,10 @@
 namespace cgraph {
 
 LoadStage::LoadStage(const PartitionedGraph& layout, const SnapshotStore* snapshots,
-                     GlobalTable* table, Scheduler* scheduler, MemoryHierarchy* hierarchy,
-                     JobManager* manager, const EngineOptions& options)
-    : layout_(layout), snapshots_(snapshots), table_(table), scheduler_(scheduler),
-      hierarchy_(hierarchy), manager_(manager), options_(options) {}
-
-PartitionId LoadStage::PickNext(const std::vector<bool>& eligible) const {
-  return scheduler_->PickNext(*table_, eligible);
-}
+                     GlobalTable* table, MemoryHierarchy* hierarchy, JobManager* manager,
+                     const EngineOptions& options)
+    : layout_(layout), snapshots_(snapshots), table_(table), hierarchy_(hierarchy),
+      manager_(manager), options_(options) {}
 
 const GraphPartition& LoadStage::Resolve(PartitionId p, const Job& job,
                                          uint32_t* version) const {

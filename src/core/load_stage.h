@@ -1,12 +1,12 @@
 // Load stage of the LTP pipeline (paper sections 3.2.1-3.2.3, Algorithm 1 lines 1-3).
 //
-// Per scheduling step the stage picks the highest-priority partition still needed by some
-// running job, resolves each triggered job to its snapshot-bound structure version, groups
-// the jobs per version so snapshot-sharing jobs are triggered off the same load, and
-// charges the shared structure access to the simulated hierarchy: the first toucher brings
-// a segment in (miss), the rest hit, and each job touches only the segments expected to
-// hold its active vertices (selective loading). The structure stays pinned until the
-// trigger stage releases it so private-table rotation cannot evict it mid-group.
+// Per scheduling step, for the partition the scheduler picked (Eq. 1), the stage resolves
+// each triggered job to its snapshot-bound structure version, groups the jobs per version
+// so snapshot-sharing jobs are triggered off the same load, and charges the shared
+// structure access to the simulated hierarchy: the first toucher brings a segment in
+// (miss), the rest hit, and each job touches only the segments expected to hold its
+// active vertices (selective loading). The structure stays pinned until the trigger stage
+// releases it so private-table rotation cannot evict it mid-group.
 
 #ifndef SRC_CORE_LOAD_STAGE_H_
 #define SRC_CORE_LOAD_STAGE_H_
@@ -18,7 +18,6 @@
 #include "src/common/thread_annotations.h"
 #include "src/core/engine_options.h"
 #include "src/core/job_manager.h"
-#include "src/core/scheduler.h"
 #include "src/partition/partitioned_graph.h"
 #include "src/storage/global_table.h"
 #include "src/storage/snapshot_store.h"
@@ -37,11 +36,8 @@ class LoadStage {
   // `snapshots` may be null (single-graph engine); everything else is borrowed from the
   // engine and must outlive this.
   LoadStage(const PartitionedGraph& layout, const SnapshotStore* snapshots,
-            GlobalTable* table, Scheduler* scheduler, MemoryHierarchy* hierarchy,
-            JobManager* manager, const EngineOptions& options);
-
-  // Highest-priority partition some job needs, or kInvalidPartition when none.
-  PartitionId PickNext(const std::vector<bool>& eligible) const CGRAPH_REQUIRES_DRIVER_SHARED;
+            GlobalTable* table, MemoryHierarchy* hierarchy, JobManager* manager,
+            const EngineOptions& options);
 
   // Partition p's registered jobs grouped by resolved structure version. The group order
   // rotates with p so structure-miss attribution does not always fall on the lowest slot.
@@ -62,7 +58,6 @@ class LoadStage {
   const PartitionedGraph& layout_;
   const SnapshotStore* snapshots_;
   GlobalTable* table_;
-  Scheduler* scheduler_;
   MemoryHierarchy* hierarchy_;
   JobManager* manager_;
   EngineOptions options_;

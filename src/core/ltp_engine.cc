@@ -30,12 +30,10 @@ LtpEngine::LtpEngine(const EngineOptions& options, const PartitionedGraph* graph
                                           pool_.get(), options_);
   push_ = std::make_unique<PushStage>(base, pool_.get(), hierarchy_.get(), manager_.get(),
                                       options_);
-  load_ = std::make_unique<LoadStage>(base, snapshots_, global_table_.get(),
-                                      scheduler_.get(), hierarchy_.get(), manager_.get(),
-                                      options_);
+  load_ = std::make_unique<LoadStage>(base, snapshots_, global_table_.get(), hierarchy_.get(),
+                                      manager_.get(), options_);
   trigger_ = std::make_unique<TriggerStage>(pool_.get(), hierarchy_.get(), options_);
   injector_ = FaultInjector(options_.fault_specs, options_.fault_seed);
-  eligible_.assign(base.num_partitions(), true);
 }
 
 const PartitionedGraph& LtpEngine::layout() const {
@@ -95,7 +93,7 @@ bool LtpEngine::Step() {
         }
       }
     }
-    const PartitionId p = load_->PickNext(eligible_);
+    const PartitionId p = scheduler_->PickNext(*global_table_);
     if (p == kInvalidPartition) {
       if (!manager_->HasWaiting()) {
         return false;  // No job needs any partition and none is coming: idle.

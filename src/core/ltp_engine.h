@@ -6,7 +6,8 @@
 //   JobManager    — job lifecycle: submission, admission (a bounded slot pool with a FIFO
 //                   waiting queue instead of a hard capacity crash), activation-tracing
 //                   registration, and per-job report finalization at completion;
-//   LoadStage     — scheduler pick, snapshot-version resolve, shared-structure charging;
+//   LoadStage     — for the partition the Scheduler picks (Eq. 1): snapshot-version
+//                   resolve and shared-structure charging;
 //   TriggerStage  — per-partition concurrent triggering of all registered jobs (job
 //                   batches rotate private tables while the structure stays pinned;
 //                   straggler splitting balances skewed jobs across free cores);
@@ -240,7 +241,6 @@ class LtpEngine {
   std::unique_ptr<TriggerStage> trigger_;
 
   FaultInjector injector_;      // Unarmed (one boolean per poll guard) without specs.
-  std::vector<bool> eligible_;  // Per-partition scheduling eligibility (currently all).
   uint64_t step_ = 0;           // Partition-scheduling steps executed.
   double total_elapsed_ = 0.0;  // Wall seconds spent inside Step() so far.
   bool ran_ = false;            // Legacy Run() called (guards the one-shot contract).

@@ -32,15 +32,14 @@ double Scheduler::PriorityFromCount(uint32_t registered_count, PartitionId p) co
   return static_cast<double>(registered_count) + theta_ * avg_degree_[p] * state_change_[p];
 }
 
-PartitionId Scheduler::PickNext(const GlobalTable& table,
-                                const std::vector<bool>& eligible) const {
+PartitionId Scheduler::PickNext(const GlobalTable& table) const {
   PartitionId best = kInvalidPartition;
   double best_priority = -1.0;
   for (PartitionId p = 0; p < table.num_partitions(); ++p) {
-    // One table lookup per partition: the count feeds both the eligibility filter and
+    // One table lookup per partition: the count feeds both the registration filter and
     // the N(P) term of Eq. 1.
     const uint32_t count = table.RegisteredCount(p);
-    if (!eligible[p] || count == 0) {
+    if (count == 0) {
       continue;
     }
     if (!use_priorities_) {

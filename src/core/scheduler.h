@@ -34,21 +34,19 @@ class Scheduler {
   // jobs of the fraction of P's vertices whose state changed. Clamped into [0, 1].
   void SetStateChange(PartitionId p, double active_fraction);
 
-  // Picks the next partition to load among those with RegisteredCount > 0 and
-  // eligible[p] == true.
+  // Picks the next partition to load among those with RegisteredCount > 0.
   //
-  // Pre:  `eligible` has one entry per partition of `table`.
   // Post: returns the qualifying partition maximizing Eq. 1 (lowest index on ties, and
   //       plain lowest qualifying index when priorities are disabled), or
   //       kInvalidPartition when none qualifies. Never mutates state: picking is
   //       side-effect-free and deterministic.
-  PartitionId PickNext(const GlobalTable& table, const std::vector<bool>& eligible) const;
+  PartitionId PickNext(const GlobalTable& table) const;
 
   // Eq. 1 for one partition, reading N(P) from the table.
   double Priority(const GlobalTable& table, PartitionId p) const;
 
   // Eq. 1 with N(P) already in hand, so PickNext reads the global table once per
-  // partition instead of once for the eligibility filter and once for the priority.
+  // partition instead of once for the registration filter and once for the priority.
   double PriorityFromCount(uint32_t registered_count, PartitionId p) const;
 
   double theta() const { return theta_; }

@@ -79,40 +79,34 @@ void TriggerStage::TriggerBatch(PartitionId p, const GraphPartition& part,
     }
   }
   // Chunks are claimed in whole bitmask words so a grain never straddles a word and the
-  // sparse scan needs no partial-word masking.
+  // sparse scan needs no partial-word masking. The rounding is 64-bit: a grain near 2^32
+  // must not wrap to a one-word chunk.
   const size_t grain_words =
-      std::max<size_t>(1, (std::max<uint32_t>(1, options_.chunk_grain) + 63) / 64);
+      std::max<size_t>(1, (static_cast<size_t>(options_.chunk_grain) + 63) / 64);
 
-  if (options_.straggler_split) {
-    // Every worker can steal chunks of any job in the batch: the straggler's remaining
-    // vertices are consumed by whichever cores come free (Fig. 6). Cursors live in the
-    // stage's arena — one per batch slot, reset here, no allocation per batch.
-    task_slot_.clear();
-    for (uint32_t j = 0; j < batch.size(); ++j) {
-      cursors_[j].store(0, std::memory_order_relaxed);
-      const size_t tasks_for_job =
-          std::min<size_t>(options_.num_workers, n_words / grain_words + 1);
-      task_slot_.insert(task_slot_.end(), tasks_for_job, j);
-    }
-    pool_->RunBatch(task_slot_.size(), [&](size_t task) {
-      const uint32_t j = task_slot_[task];
-      Job* const job = batch[j];
-      std::atomic<size_t>& cursor = cursors_[j];
-      while (true) {
-        const size_t begin = cursor.fetch_add(grain_words, std::memory_order_relaxed);
-        if (begin >= n_words) {
-          return;
-        }
-        ProcessWords(p, part, job, job->active_[p], begin,
-                     std::min(begin + grain_words, n_words));
-      }
-    });
-  } else {
-    // Ablation: one task per job — a skewed job becomes the straggler.
-    pool_->RunBatch(batch.size(), [&](size_t j) {
-      ProcessWords(p, part, batch[j], batch[j]->active_[p], 0, n_words);
-    });
+  // Every worker can steal chunks of any job in the batch: the straggler's remaining
+  // vertices are consumed by whichever cores come free (Fig. 6). A grain of at least the
+  // partition size makes a job's whole sweep one chunk, so one task runs it. Cursors live
+  // in the stage's arena — one per batch slot, reset here, no allocation per batch.
+  task_slot_.clear();
+  for (uint32_t j = 0; j < batch.size(); ++j) {
+    cursors_[j].store(0, std::memory_order_relaxed);
+    const size_t tasks_for_job =
+        std::min<size_t>(options_.num_workers, n_words / grain_words + 1);
+    task_slot_.insert(task_slot_.end(), tasks_for_job, j);
   }
+  pool_->RunBatch(task_slot_.size(), [&](size_t task) {
+    const uint32_t j = task_slot_[task];
+    Job* const job = batch[j];
+    std::atomic<size_t>& cursor = cursors_[j];
+    while (true) {
+      const size_t begin = cursor.fetch_add(grain_words, std::memory_order_relaxed);
+      if (begin >= n_words) {
+        return;
+      }
+      ProcessWords(p, part, job, job->active_[p], begin, std::min(begin + grain_words, n_words));
+    }
+  });
 }
 
 uint64_t TriggerStage::ProcessWords(PartitionId p, const GraphPartition& part, Job* job,

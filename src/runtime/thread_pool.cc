@@ -1,7 +1,6 @@
 #include "src/runtime/thread_pool.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "src/common/check.h"
 
@@ -38,51 +37,6 @@ ThreadPool::~ThreadPool() {
   work_available_.NotifyAll();
   for (auto& t : threads_) {
     t.join();
-  }
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    MutexLock lock(mutex_);
-    queue_.push_back(std::move(task));
-  }
-  work_available_.NotifyOne();
-}
-
-void ThreadPool::RunAndWait(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) {
-    return;
-  }
-  {
-    MutexLock lock(mutex_);
-    for (auto& t : tasks) {
-      queue_.push_back(std::move(t));
-    }
-  }
-  work_available_.NotifyAll();
-
-  // The caller helps drain the queue, then waits for stragglers.
-  MutexLock lock(mutex_);
-  while (true) {
-    if (!queue_.empty()) {
-      auto task = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-      lock.Unlock();
-      task();
-      lock.Lock();
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) {
-        batch_done_.NotifyAll();
-      }
-      continue;
-    }
-    if (in_flight_ == 0) {
-      return;
-    }
-    batch_done_.Wait(lock, [this]() CGRAPH_REQUIRES(mutex_) {
-      return (queue_.empty() && in_flight_ == 0) || !queue_.empty();
-    });
   }
 }
 
@@ -145,8 +99,7 @@ void ThreadPool::WorkerLoop() {
   MutexLock lock(mutex_);
   while (true) {
     work_available_.Wait(lock, [this, drained_epoch]() CGRAPH_REQUIRES(mutex_) {
-      return shutting_down_ || !queue_.empty() ||
-             (batch_open_ && batch_epoch_ != drained_epoch);
+      return shutting_down_ || (batch_open_ && batch_epoch_ != drained_epoch);
     });
     if (batch_open_ && batch_epoch_ != drained_epoch) {
       drained_epoch = batch_epoch_;
@@ -162,22 +115,7 @@ void ThreadPool::WorkerLoop() {
       }
       continue;
     }
-    if (shutting_down_ && queue_.empty()) {
-      return;
-    }
-    if (queue_.empty()) {
-      continue;  // Woken for a batch already marked drained; re-wait.
-    }
-    auto task = std::move(queue_.front());
-    queue_.pop_front();
-    ++in_flight_;
-    lock.Unlock();
-    task();
-    lock.Lock();
-    --in_flight_;
-    if (queue_.empty() && in_flight_ == 0) {
-      batch_done_.NotifyAll();
-    }
+    return;  // Not a new batch, so the wake-up was the shutdown.
   }
 }
 

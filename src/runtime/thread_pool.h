@@ -1,14 +1,9 @@
-// Fixed-size worker pool with a shared task queue and an allocation-free batch primitive.
+// Fixed-size worker pool with one allocation-free dispatch primitive.
 //
 // One pool is created per executor run with `num_workers` threads (the paper's "workers",
-// one per core). Two dispatch paths exist:
-//
-//  - Submit()/RunAndWait(): type-erased closures through a locked deque. General-purpose,
-//    but every task heap-allocates a std::function and bounces the queue mutex.
-//  - RunBatch(n, fn): the hot path. The n task indices are handed out through a single
-//    atomic cursor; workers and the caller claim indices lock-free and invoke the borrowed
-//    FunctionRef. Nothing is allocated and the mutex is taken only to open/close the
-//    batch, so per-partition trigger dispatch stops serializing on the deque lock.
+// one per core). RunBatch(n, fn) hands the n task indices out through a single atomic
+// cursor; workers and the caller claim indices lock-free and invoke the borrowed
+// FunctionRef. Nothing is allocated and the mutex is taken only to open/close the batch.
 
 #ifndef SRC_RUNTIME_THREAD_POOL_H_
 #define SRC_RUNTIME_THREAD_POOL_H_
@@ -16,8 +11,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <thread>
 #include <vector>
 
@@ -39,7 +32,7 @@ class ThreadPool {
   // how many threads actually execute a batch.
   explicit ThreadPool(size_t num_workers);
 
-  // Drains outstanding tasks, then joins all workers.
+  // Joins all workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -53,19 +46,11 @@ class ThreadPool {
   // is pure overhead. Coverage and results are identical either way.
   bool CanRunConcurrently() const { return parallel_lanes_ > 1; }
 
-  // Enqueues a task for asynchronous execution.
-  void Submit(std::function<void()> task);
-
-  // Runs all `tasks` on the pool and blocks until every one has finished. The calling
-  // thread also participates by draining the batch, so a 1-worker pool still makes
-  // progress even when called from the single worker context.
-  void RunAndWait(std::vector<std::function<void()>> tasks);
-
   // Invokes fn(i) exactly once for every i in [0, n_tasks), distributing indices to the
   // calling thread and the pool's workers through an atomic cursor. Blocks until every
   // index has been processed; `fn` is borrowed for exactly that long. No per-task
   // allocation. n_tasks <= 1 runs inline without waking anyone. Not reentrant: fn must
-  // not call RunBatch (or RunAndWait) on the same pool, and only one thread may drive
+  // not call RunBatch on the same pool, and only one thread may drive
   // batches at a time — in the engine that is the single LTP driver thread.
   void RunBatch(size_t n_tasks, BatchFn fn);
 
@@ -80,9 +65,6 @@ class ThreadPool {
   Mutex mutex_;
   CondVar work_available_;
   CondVar batch_done_;
-  std::deque<std::function<void()>> queue_ CGRAPH_GUARDED_BY(mutex_);
-  // Tasks popped but not yet finished.
-  size_t in_flight_ CGRAPH_GUARDED_BY(mutex_) = 0;
   bool shutting_down_ CGRAPH_GUARDED_BY(mutex_) = false;
 
   // Batch state. fn/size/epoch are written under mutex_ before the batch opens and read

@@ -79,16 +79,10 @@ class GlobalTable {
     }
   }
 
-  // C(P) bookkeeping: mean normalized state change of P's vertices at the previous
-  // iteration, averaged over jobs (the spatial "importance" term of Eq. 1).
-  void SetStateChange(PartitionId p, double change) { entries_[p].state_change = change; }
-  double StateChange(PartitionId p) const { return entries_[p].state_change; }
-
  private:
   struct Entry {
     DynamicBitset registered;
     uint32_t count = 0;
-    double state_change = 0.0;
   };
 
   uint32_t max_jobs_;

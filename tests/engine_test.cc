@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/algorithms/bfs.h"
@@ -167,11 +171,57 @@ TEST(EngineTest, SchedulerAblationStillCorrect) {
   const PartitionedGraph pg = Partition(edges, 8);
   EngineOptions options = test_support::TestEngineOptions();
   options.use_scheduler = false;
-  options.straggler_split = false;
+  options.chunk_grain = UINT32_MAX;  // One task per (job, partition).
   LtpEngine engine(&pg, options);
   const JobId id = engine.AddJob(std::make_unique<SsspProgram>(source));
   engine.Run();
   test_support::ExpectNearValues(engine.FinalValues(id), ReferenceSssp(g, source), 1e-12, "ablation/sssp");
+}
+
+// WCC that records whether any vertex of a trigger ran off the driver thread. The first
+// driver-side Compute waits up to 200 ms for another thread to join, so a trigger that
+// was split into several tasks shows on any multi-core host.
+class DriverOnlyWcc : public WccProgram {
+ public:
+  explicit DriverOnlyWcc(std::thread::id driver) : driver_(driver) {}
+  void Compute(const GraphPartition& partition, LocalVertexId v, std::span<VertexState> states,
+               ScatterOps& ops) override {
+    if (std::this_thread::get_id() != driver_) {
+      off_driver_.store(true);
+    } else if (!waited_) {
+      waited_ = true;
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+      while (!off_driver_.load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    }
+    WccProgram::Compute(partition, v, states, ops);
+  }
+  bool off_driver() const { return off_driver_.load(); }
+
+ private:
+  std::thread::id driver_;
+  bool waited_ = false;  // Only the driver thread reads or writes it.
+  std::atomic<bool> off_driver_{false};
+};
+
+// A chunk grain of at least the partition size is one task per (job, partition), which
+// RunBatch runs inline on the driver. Grains within 63 of 2^32 used to wrap to a one-word
+// grain in 32-bit arithmetic, splitting every trigger across the workers instead.
+TEST(EngineTest, ChunkGrainNear2To32RunsOneTaskPerJob) {
+  const EdgeList edges = GenerateErdosRenyi(2000, 8000, 23);
+  const PartitionedGraph pg = Partition(edges, 2);
+  EngineOptions options = test_support::TestEngineOptions();
+  options.parallel_trigger_threshold = 0;  // Dispatch every trigger through the pool.
+  options.chunk_grain = UINT32_MAX;
+  LtpEngine engine(&pg, options);
+  auto program = std::make_unique<DriverOnlyWcc>(std::this_thread::get_id());
+  const DriverOnlyWcc* wcc = program.get();
+  const JobId id = engine.AddJob(std::move(program));
+  engine.Run();
+  EXPECT_FALSE(wcc->off_driver());
+  test_support::ExpectNearValues(engine.FinalValues(id), ReferenceWcc(Graph::FromEdges(edges)),
+                                 0.0, "one-task/wcc");
 }
 
 TEST(EngineTest, SingleWorkerCorrect) {
@@ -403,8 +453,7 @@ TEST(EngineTest, ThetaDominanceSchedulerPrefersMoreJobs) {
   table.Register(5, 2);
   scheduler.SetStateChange(3, 0.0);
   scheduler.SetStateChange(5, 1.0);
-  std::vector<bool> eligible(pg.num_partitions(), true);
-  EXPECT_EQ(scheduler.PickNext(table, eligible), 3u);
+  EXPECT_EQ(scheduler.PickNext(table), 3u);
 }
 
 }  // namespace

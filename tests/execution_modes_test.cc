@@ -155,7 +155,7 @@ TEST_F(AsyncRmatTest, StalenessZeroIsByteIdenticalToBsp) {
     EXPECT_EQ(job.redrain_computes, 0u) << job.job_name;
     EXPECT_EQ(job.deferred_pushes, 0u) << job.job_name;
   }
-  const CostModel model = bsp.cost_model;
+  const CostModel model{};
   EXPECT_EQ(DeterministicCsv(bsp_report, model), DeterministicCsv(async_report, model));
 }
 
@@ -231,7 +231,7 @@ TEST_F(AsyncRmatTest, NonMonotonicProgramsRunExactBsp) {
     EXPECT_EQ(job.redrain_computes, 0u) << job.job_name;
     EXPECT_EQ(job.deferred_pushes, 0u) << job.job_name;
   }
-  const CostModel model = bsp_options.cost_model;
+  const CostModel model{};
   EXPECT_EQ(DeterministicCsv(bsp_report, model), DeterministicCsv(async_report, model));
 }
 

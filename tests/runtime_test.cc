@@ -13,58 +13,26 @@
 namespace cgraph {
 namespace {
 
-TEST(ThreadPoolTest, RunsSubmittedTask) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.RunAndWait({[&] { counter.fetch_add(1); }});
-  EXPECT_EQ(counter.load(), 1);
-}
-
 TEST(ThreadPoolTest, ZeroWorkersClampedToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_workers(), 1u);
   std::atomic<int> counter{0};
-  pool.RunAndWait({[&] { counter.fetch_add(1); }});
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPoolTest, RunAndWaitCompletesAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 100; ++i) {
-    tasks.push_back([&] { counter.fetch_add(1); });
-  }
-  pool.RunAndWait(std::move(tasks));
-  EXPECT_EQ(counter.load(), 100);
+  pool.RunBatch(3, [&](size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 3);
 }
 
 TEST(ThreadPoolTest, SequentialBatches) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
   for (int round = 0; round < 10; ++round) {
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 7; ++i) {
-      tasks.push_back([&] { counter.fetch_add(1); });
-    }
-    pool.RunAndWait(std::move(tasks));
+    pool.RunBatch(7, [&](size_t) { counter.fetch_add(1); });
     EXPECT_EQ(counter.load(), (round + 1) * 7);
   }
 }
 
 TEST(ThreadPoolTest, EmptyBatchReturnsImmediately) {
   ThreadPool pool(2);
-  pool.RunAndWait({});  // Must not hang.
-}
-
-TEST(ThreadPoolTest, SubmitIsAsynchronousButEventuallyRuns) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&] { counter.fetch_add(1); });
-  // Drain by running a waiting batch afterwards; the submitted task must have run too
-  // because RunAndWait waits for a globally empty queue.
-  pool.RunAndWait({[] {}});
-  EXPECT_EQ(counter.load(), 1);
+  pool.RunBatch(0, [](size_t) {});  // Must not hang.
 }
 
 TEST(ThreadPoolTest, RunBatchCoversAllIndicesExactlyOnce) {
@@ -107,17 +75,6 @@ TEST(ThreadPoolTest, RunBatchManyMoreTasksThanWorkers) {
   const size_t n = 10000;
   pool.RunBatch(n, [&](size_t i) { sum.fetch_add(i); });
   EXPECT_EQ(sum.load(), static_cast<uint64_t>(n) * (n - 1) / 2);
-}
-
-TEST(ThreadPoolTest, RunBatchInterleavesWithQueueTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> queued{0};
-  pool.Submit([&] { queued.fetch_add(1); });
-  std::atomic<int> batched{0};
-  pool.RunBatch(50, [&](size_t) { batched.fetch_add(1); });
-  EXPECT_EQ(batched.load(), 50);
-  pool.RunAndWait({[] {}});  // Drain: the queued task must have run by now.
-  EXPECT_EQ(queued.load(), 1);
 }
 
 TEST(PoolDispatchTest, CoversEveryTaskExactlyOnce) {

@@ -115,12 +115,6 @@ TEST(GlobalTableTest, UnregisterEverywhere) {
   EXPECT_EQ(table.RegisteredCount(2), 1u);
 }
 
-TEST(GlobalTableTest, StateChangeStored) {
-  GlobalTable table(2, 2);
-  table.SetStateChange(1, 0.75);
-  EXPECT_DOUBLE_EQ(table.StateChange(1), 0.75);
-}
-
 class SnapshotStoreTest : public ::testing::Test {
  protected:
   SnapshotStoreTest() {

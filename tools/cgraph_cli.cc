@@ -148,8 +148,6 @@ void RegisterFlags(FlagSet& flags, CliOptions& o) {
               PartitionerKind::kGreedy, PartitionerKind::kDegree},
              PartitionerKindName);
   flags.Number("workers", "N", "worker threads", &e.num_workers, 1, 65535);
-  flags.Switch("no-straggler", "disable straggler splitting (one task per job)",
-               &e.straggler_split, false);
   flags.Number("chunk-grain", "N", "vertices per stolen work chunk", &e.chunk_grain, 1);
   flags.Number("sweep-threshold", "N",
                "min work (vertices swept or mirror records moved) before a bookkeeping "
@@ -539,7 +537,6 @@ int main(int argc, char** argv) {
               graph.replication_factor());
 
   EngineOptions& engine_options = options.engine;
-  engine_options.partitioner = options.partition.partitioner;
   engine_options.use_scheduler = options.system != "cgraph-without";
 
   if (options.serve) {
