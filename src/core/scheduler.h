@@ -27,7 +27,8 @@ namespace cgraph {
 
 class Scheduler {
  public:
-  // `theta_scale` in [0, 1] scales the auto-computed theta (ablation knob; 1 = Eq. 1).
+  // `theta_scale` in [0, 1] scales the auto-computed theta (1 = Eq. 1; paper_figures'
+  // scheduler ablation sets 0).
   Scheduler(const PartitionedGraph& graph, bool use_priorities, double theta_scale = 1.0);
 
   // Updates C(P) from a finished iteration: `active_fraction` is the mean over registered

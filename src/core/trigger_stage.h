@@ -5,7 +5,7 @@
 // hierarchy while the shared structure stays pinned, and straggler splitting lets every
 // worker steal vertex chunks of any job in the batch so a skewed job's remaining vertices
 // are consumed by whichever cores come free (Fig. 6). A chunk grain of at least the
-// partition size (ablation) makes each job a single task, and skew serializes on one core.
+// partition size (--chunk-grain) makes each job a single task, and skew serializes on one core.
 //
 // The sweep itself is frontier-aware: active-vertex bitmask words are scanned 64 bits at
 // a time (DynamicBitset::ForEachSetBitInWords), chunks are claimed word-aligned from

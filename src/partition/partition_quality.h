@@ -24,12 +24,12 @@ enum class PartitionerKind : uint8_t {
   // default, and byte-identical to the pre-partitioner-layer engine.
   kEvenEdge,
   // Hash of the source vertex: keeps each vertex's out-edges together but inherits the
-  // power-law imbalance. A comparison point for the partitioning ablation.
+  // power-law imbalance. A comparison point for the partitioning ablation (paper_figures).
   kHashSource,
   // Streaming greedy edge placement: each edge (in deterministic stream order) scores
   // candidate partitions by how many of its endpoints are already resident there,
   // breaking ties toward the lighter partition — replication-minimizing, bounded by a
-  // per-partition edge capacity (PartitionOptions::greedy_balance).
+  // per-partition edge capacity (kGreedyBalance in partitioner.cc).
   kGreedy,
   // Degree-aware placement: every edge follows its lower-total-degree endpoint (hashed),
   // so low-degree vertices keep all their edges local (they never replicate) while only

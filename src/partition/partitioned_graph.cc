@@ -95,7 +95,6 @@ PartitionedGraph PartitionedGraphBuilder::Build(const EdgeList& edges,
                                                 const PartitionOptions& options,
                                                 const Partitioner& partitioner) {
   CGRAPH_CHECK(options.num_partitions > 0);
-  CGRAPH_CHECK(options.greedy_balance >= 1.0);
   const VertexId n = edges.num_vertices();
   const uint64_t m = edges.num_edges();
   const uint32_t num_parts =

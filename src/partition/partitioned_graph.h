@@ -140,10 +140,6 @@ struct PartitionOptions {
   bool core_subgraph = true;
   // A vertex is core when its total degree exceeds multiplier * average total degree.
   double core_degree_multiplier = 8.0;
-  // Greedy strategy imbalance budget: per-partition edge capacity is
-  // ceil(greedy_balance * num_edges / num_partitions). Must be >= 1.0 or greedy
-  // placement could run out of room.
-  double greedy_balance = 1.05;
 };
 
 class PartitionedGraph {

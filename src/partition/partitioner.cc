@@ -156,11 +156,16 @@ class HashSourcePartitioner final : public Partitioner {
   }
 };
 
+// Greedy imbalance budget: each partition accepts at most ceil(kGreedyBalance * m / P)
+// edges. Below 1.0 the partitions could not hold every edge.
+constexpr double kGreedyBalance = 1.05;
+static_assert(kGreedyBalance >= 1.0, "greedy placement would run out of room");
+
 // Streaming greedy edge placement (the PowerGraph-style greedy vertex-cut): edges
 // stream in canonical (src, dst) order; each scores every candidate partition by how
 // many of its endpoints already have a replica there, tie-breaking toward the lighter
 // partition, then the lower id. A per-partition capacity
-// ceil(greedy_balance * m / num_parts) bounds imbalance — at every step at least one
+// ceil(kGreedyBalance * m / num_parts) bounds imbalance — at every step at least one
 // partition is below capacity (capacity * num_parts >= m > edges placed so far), so
 // placement never gets stuck.
 class GreedyPartitioner final : public Partitioner {
@@ -216,10 +221,11 @@ class GreedyPartitioner final : public Partitioner {
 
   uint64_t EdgeCapacity(uint64_t num_edges, uint32_t num_parts,
                         const PartitionOptions& options) const override {
+    (void)options;
     if (num_parts == 0) {
       return 0;
     }
-    const double per_part = options.greedy_balance * static_cast<double>(num_edges) /
+    const double per_part = kGreedyBalance * static_cast<double>(num_edges) /
                             static_cast<double>(num_parts);
     return std::max<uint64_t>(1, static_cast<uint64_t>(std::ceil(per_part)));
   }
