@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives underneath the LTP engine:
-// atomic accumulation, cache-simulator touches, partition construction, and a full
+// atomic and plain accumulation, cache-simulator touches, partition construction, and a full
 // single-partition trigger.
 
 #include <benchmark/benchmark.h>
@@ -18,25 +18,32 @@ namespace {
 
 using namespace cgraph;
 
-void BM_AtomicAccumulateSum(benchmark::State& state) {
+// Atomic (compare-exchange) against plain scatter accumulation into one slot.
+template <bool kAtomic>
+void BM_AccumulateSum(benchmark::State& state) {
   double slot = 0.0;
   for (auto _ : state) {
-    AtomicAccumulate(AccKind::kSum, &slot, 1.0);
+    AccumulateInto<AccKind::kSum, kAtomic>(&slot, 1.0);
+    benchmark::ClobberMemory();
   }
   benchmark::DoNotOptimize(slot);
 }
-BENCHMARK(BM_AtomicAccumulateSum);
+BENCHMARK(BM_AccumulateSum<true>);
+BENCHMARK(BM_AccumulateSum<false>);
 
-void BM_AtomicAccumulateMin(benchmark::State& state) {
+template <bool kAtomic>
+void BM_AccumulateMin(benchmark::State& state) {
   double slot = AccIdentity(AccKind::kMin);
   double v = 1e9;
   for (auto _ : state) {
-    AtomicAccumulate(AccKind::kMin, &slot, v);
+    AccumulateInto<AccKind::kMin, kAtomic>(&slot, v);
+    benchmark::ClobberMemory();
     v -= 1.0;
   }
   benchmark::DoNotOptimize(slot);
 }
-BENCHMARK(BM_AtomicAccumulateMin);
+BENCHMARK(BM_AccumulateMin<true>);
+BENCHMARK(BM_AccumulateMin<false>);
 
 void BM_CacheSimTouch(benchmark::State& state) {
   CacheSim cache(1ull << 20, 4ull << 10);

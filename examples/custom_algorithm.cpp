@@ -21,15 +21,14 @@ namespace {
 
 using namespace cgraph;
 
-class HeatDiffusionProgram : public VertexProgram {
+// Deriving from ProgramBase fixes the Acc (heat accumulates additively) and supplies the
+// engine's per-chunk kernels, into which IsActive and Compute below inline.
+class HeatDiffusionProgram : public ProgramBase<HeatDiffusionProgram, AccKind::kSum> {
  public:
   HeatDiffusionProgram(VertexId seed_vertex, double retention, double epsilon)
       : seed_(seed_vertex), retention_(retention), epsilon_(epsilon) {}
 
   std::string_view name() const override { return "heat-diffusion"; }
-
-  // Heat accumulates additively.
-  AccKind acc_kind() const override { return AccKind::kSum; }
 
   // The seed starts with one unit of pending heat; everyone else is cold.
   VertexState InitialState(const LocalVertexInfo& info) const override {
@@ -40,14 +39,16 @@ class HeatDiffusionProgram : public VertexProgram {
   }
 
   // A vertex is busy while it has non-negligible pending heat (IsNotConvergent).
-  bool IsActive(const VertexState& state) const override { return state.delta > epsilon_; }
+  bool IsActive(const VertexState& state) const final { return state.delta > epsilon_; }
 
   // Absorb pending heat; re-emit (1 - retention) of it along out-edges, proportionally
   // to edge weights. The split divides by the vertex's *global* out-weight: a replicated
   // vertex is computed once per partition, each replica emitting only its local edges'
-  // share, so the shares must sum to one across replicas.
-  void Compute(const GraphPartition& partition, LocalVertexId v,
-               std::span<VertexState> states, ScatterOps& ops) override {
+  // share, so the shares must sum to one across replicas. `ops` is the engine's scatter
+  // sink (atomic or plain, as the trigger decides).
+  template <class Ops>
+  void Compute(const GraphPartition& partition, LocalVertexId v, std::span<VertexState> states,
+               Ops& ops) {
     VertexState& state = states[v];
     state.value += retention_ * state.delta;
     const auto targets = partition.out_neighbors(v);

@@ -9,12 +9,11 @@
 
 namespace cgraph {
 
-class BfsProgram : public VertexProgram {
+class BfsProgram : public ProgramBase<BfsProgram, AccKind::kMin> {
  public:
   explicit BfsProgram(VertexId source) : source_(source) {}
 
   std::string_view name() const override { return "bfs"; }
-  AccKind acc_kind() const override { return AccKind::kMin; }
 
   // Min-hop fixpoint — same monotone structure as SSSP over unit weights.
   bool monotonic() const override { return true; }
@@ -26,10 +25,11 @@ class BfsProgram : public VertexProgram {
     return s;
   }
 
-  bool IsActive(const VertexState& state) const override { return state.delta < state.value; }
+  bool IsActive(const VertexState& state) const final { return state.delta < state.value; }
 
-  void Compute(const GraphPartition& partition, LocalVertexId v,
-               std::span<VertexState> states, ScatterOps& ops) override {
+  template <class Ops>
+  void Compute(const GraphPartition& partition, LocalVertexId v, std::span<VertexState> states,
+               Ops& ops) {
     VertexState& s = states[v];
     if (s.delta < s.value) {
       s.value = s.delta;

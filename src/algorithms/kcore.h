@@ -9,12 +9,11 @@
 
 namespace cgraph {
 
-class KCoreProgram : public VertexProgram {
+class KCoreProgram : public ProgramBase<KCoreProgram, AccKind::kSum> {
  public:
   explicit KCoreProgram(uint32_t k) : k_(k) {}
 
   std::string_view name() const override { return "kcore"; }
-  AccKind acc_kind() const override { return AccKind::kSum; }
 
   // Peeling is confluent in *membership* (aux): a vertex scatters exactly once, on its
   // irreversible leave-the-core transition, so any schedule that delivers every -1.0
@@ -30,7 +29,7 @@ class KCoreProgram : public VertexProgram {
     return s;
   }
 
-  bool IsActive(const VertexState& state) const override {
+  bool IsActive(const VertexState& state) const final {
     // Unremoved vertices that lost neighbors must re-check their residual degree.
     return state.delta != 0.0 && state.aux == 0.0;
   }
@@ -41,8 +40,9 @@ class KCoreProgram : public VertexProgram {
     return state.aux == 0.0;
   }
 
-  void Compute(const GraphPartition& partition, LocalVertexId v,
-               std::span<VertexState> states, ScatterOps& ops) override {
+  template <class Ops>
+  void Compute(const GraphPartition& partition, LocalVertexId v, std::span<VertexState> states,
+               Ops& ops) {
     VertexState& s = states[v];
     s.value += s.delta;  // delta is a (negative) sum of lost neighbors.
     if (s.aux == 0.0 && s.value < static_cast<double>(k_)) {

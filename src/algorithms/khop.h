@@ -12,12 +12,11 @@
 
 namespace cgraph {
 
-class KHopProgram : public VertexProgram {
+class KHopProgram : public ProgramBase<KHopProgram, AccKind::kMin> {
  public:
   KHopProgram(VertexId source, uint32_t max_hops) : source_(source), max_hops_(max_hops) {}
 
   std::string_view name() const override { return "khop"; }
-  AccKind acc_kind() const override { return AccKind::kMin; }
 
   // Bounded BFS: still a min-hop fixpoint (the hop budget only prunes scatters whose
   // contributions could never win a min), so async execution is exact.
@@ -30,10 +29,11 @@ class KHopProgram : public VertexProgram {
     return s;
   }
 
-  bool IsActive(const VertexState& state) const override { return state.delta < state.value; }
+  bool IsActive(const VertexState& state) const final { return state.delta < state.value; }
 
-  void Compute(const GraphPartition& partition, LocalVertexId v,
-               std::span<VertexState> states, ScatterOps& ops) override {
+  template <class Ops>
+  void Compute(const GraphPartition& partition, LocalVertexId v, std::span<VertexState> states,
+               Ops& ops) {
     VertexState& s = states[v];
     if (s.delta < s.value) {
       s.value = s.delta;

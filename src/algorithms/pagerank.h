@@ -17,13 +17,12 @@
 
 namespace cgraph {
 
-class PageRankProgram : public VertexProgram {
+class PageRankProgram : public ProgramBase<PageRankProgram, AccKind::kSum> {
  public:
   explicit PageRankProgram(double damping = 0.85, double epsilon = 1e-9)
       : damping_(damping), epsilon_(epsilon) {}
 
   std::string_view name() const override { return "pagerank"; }
-  AccKind acc_kind() const override { return AccKind::kSum; }
   // Not monotonic(): the epsilon convergence test depends on *when* mass arrives —
   // batching deltas changes which sub-epsilon residuals get dropped, so async would
   // converge to (slightly) different values than the BSP oracle.
@@ -36,12 +35,13 @@ class PageRankProgram : public VertexProgram {
     return s;
   }
 
-  bool IsActive(const VertexState& state) const override {
+  bool IsActive(const VertexState& state) const final {
     return std::fabs(state.delta) > epsilon_;
   }
 
-  void Compute(const GraphPartition& partition, LocalVertexId v,
-               std::span<VertexState> states, ScatterOps& ops) override {
+  template <class Ops>
+  void Compute(const GraphPartition& partition, LocalVertexId v, std::span<VertexState> states,
+               Ops& ops) {
     VertexState& s = states[v];
     s.value += s.delta;
     const uint32_t out_degree = partition.vertex(v).global_out_degree;

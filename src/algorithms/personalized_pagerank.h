@@ -11,13 +11,12 @@
 
 namespace cgraph {
 
-class PersonalizedPageRankProgram : public VertexProgram {
+class PersonalizedPageRankProgram : public ProgramBase<PersonalizedPageRankProgram, AccKind::kSum> {
  public:
   PersonalizedPageRankProgram(VertexId seed, double damping = 0.85, double epsilon = 1e-9)
       : seed_(seed), damping_(damping), epsilon_(epsilon) {}
 
   std::string_view name() const override { return "ppr"; }
-  AccKind acc_kind() const override { return AccKind::kSum; }
   // Not monotonic(): same epsilon-threshold timing dependence as PageRank.
 
   VertexState InitialState(const LocalVertexInfo& info) const override {
@@ -27,12 +26,13 @@ class PersonalizedPageRankProgram : public VertexProgram {
     return s;
   }
 
-  bool IsActive(const VertexState& state) const override {
+  bool IsActive(const VertexState& state) const final {
     return std::fabs(state.delta) > epsilon_;
   }
 
-  void Compute(const GraphPartition& partition, LocalVertexId v,
-               std::span<VertexState> states, ScatterOps& ops) override {
+  template <class Ops>
+  void Compute(const GraphPartition& partition, LocalVertexId v, std::span<VertexState> states,
+               Ops& ops) {
     VertexState& s = states[v];
     s.value += s.delta;
     const uint32_t out_degree = partition.vertex(v).global_out_degree;

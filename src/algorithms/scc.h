@@ -14,7 +14,7 @@
 //
 // Replica safety: in the backward phase values (colors) are frozen, so the same-color
 // filter may read neighbor values without races; scatters only touch delta_next slots,
-// which accumulate atomically.
+// through the engine's scatter sink (atomic whenever chunks of a partition run at once).
 
 #ifndef SRC_ALGORITHMS_SCC_H_
 #define SRC_ALGORITHMS_SCC_H_
@@ -26,10 +26,9 @@
 
 namespace cgraph {
 
-class SccProgram : public VertexProgram {
+class SccProgram : public ProgramBase<SccProgram, AccKind::kMax> {
  public:
   std::string_view name() const override { return "scc"; }
-  AccKind acc_kind() const override { return AccKind::kMax; }
   // Not monotonic(): multi-phase (OnIterationEnd drives kNewPhase re-initializations),
   // which the async push stage's deferred-contribution window cannot replay across.
 
@@ -41,7 +40,7 @@ class SccProgram : public VertexProgram {
     return s;
   }
 
-  bool IsActive(const VertexState& state) const override {
+  bool IsActive(const VertexState& state) const final {
     if (state.aux != 0.0) {
       return false;  // Already assigned to a component.
     }
@@ -51,8 +50,9 @@ class SccProgram : public VertexProgram {
     return state.delta == state.value && std::isfinite(state.delta);  // Same-color flood.
   }
 
-  void Compute(const GraphPartition& partition, LocalVertexId v,
-               std::span<VertexState> states, ScatterOps& ops) override {
+  template <class Ops>
+  void Compute(const GraphPartition& partition, LocalVertexId v, std::span<VertexState> states,
+               Ops& ops) {
     VertexState& s = states[v];
     if (s.aux != 0.0) {
       return;

@@ -13,12 +13,11 @@
 
 namespace cgraph {
 
-class SsspProgram : public VertexProgram {
+class SsspProgram : public ProgramBase<SsspProgram, AccKind::kMin> {
  public:
   explicit SsspProgram(VertexId source) : source_(source) {}
 
   std::string_view name() const override { return "sssp"; }
-  AccKind acc_kind() const override { return AccKind::kMin; }
 
   // Min-based distance fixpoint: delivery order/batching never changes the converged
   // distances, so async execution is exact.
@@ -31,10 +30,11 @@ class SsspProgram : public VertexProgram {
     return s;
   }
 
-  bool IsActive(const VertexState& state) const override { return state.delta < state.value; }
+  bool IsActive(const VertexState& state) const final { return state.delta < state.value; }
 
-  void Compute(const GraphPartition& partition, LocalVertexId v,
-               std::span<VertexState> states, ScatterOps& ops) override {
+  template <class Ops>
+  void Compute(const GraphPartition& partition, LocalVertexId v, std::span<VertexState> states,
+               Ops& ops) {
     VertexState& s = states[v];
     if (s.delta < s.value) {
       s.value = s.delta;

@@ -10,10 +10,9 @@
 
 namespace cgraph {
 
-class WccProgram : public VertexProgram {
+class WccProgram : public ProgramBase<WccProgram, AccKind::kMin> {
  public:
   std::string_view name() const override { return "wcc"; }
-  AccKind acc_kind() const override { return AccKind::kMin; }
 
   // Min-label propagation converges to the component-minimum label under any delivery
   // schedule, so async execution is exact.
@@ -30,10 +29,11 @@ class WccProgram : public VertexProgram {
     return s;
   }
 
-  bool IsActive(const VertexState& state) const override { return state.delta < state.value; }
+  bool IsActive(const VertexState& state) const final { return state.delta < state.value; }
 
-  void Compute(const GraphPartition& partition, LocalVertexId v,
-               std::span<VertexState> states, ScatterOps& ops) override {
+  template <class Ops>
+  void Compute(const GraphPartition& partition, LocalVertexId v, std::span<VertexState> states,
+               Ops& ops) {
     VertexState& s = states[v];
     if (s.delta < s.value) {
       s.value = s.delta;

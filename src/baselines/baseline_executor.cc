@@ -226,44 +226,24 @@ void BaselineExecutor::ReentryRounds(Job& job, PartitionId p, const GraphPartiti
   // their locally accumulated deltas early — in a power-law vertex-cut the bulk of
   // vertices qualify, which is where reentry's iteration savings come from.
   VertexProgram& program = job.program();
-  const AccKind kind = program.acc_kind();
-  const double identity = AccIdentity(kind);
   auto states = job.table_.partition(p);
-  ScatterOps ops(kind, states);
   uint64_t vertex_computes = 0;
+  uint64_t edge_traversals = 0;
   for (uint32_t round = 0; round < options_.clip_reentry_limit; ++round) {
-    bool changed = false;
     // Descending sweep: a propagation chain laid out in storage order advances a bounded
     // number of hops per load (limit * 1), rather than collapsing in one lucky pass —
     // matching the bounded gains reentry has on real, imperfectly-ordered graphs.
-    for (LocalVertexId v = part.num_local_vertices(); v-- > 0;) {
-      const LocalVertexInfo& info = part.vertex(v);
-      if (!info.is_master || !part.mirrors_of(v).empty()) {
-        continue;
-      }
-      VertexState& s = states[v];
-      if (s.delta_next == identity) {
-        continue;
-      }
-      const double pending = s.delta_next;
-      const double previous_delta = s.delta;
-      s.delta = pending;
-      if (!program.IsActive(s)) {
-        s.delta = previous_delta;
-        continue;
-      }
-      s.delta_next = identity;
-      program.Compute(part, v, states, ops);
-      ++vertex_computes;
-      changed = true;
-    }
-    if (!changed) {
+    const VertexProgram::ComputeCounts counts =
+        program.ReenterDescending(part, part.interior_locals(), states);
+    vertex_computes += counts.vertices;
+    edge_traversals += counts.edges;
+    if (counts.vertices == 0) {
       break;
     }
   }
   job.stats_.vertex_computes += vertex_computes;
-  job.stats_.edge_traversals += ops.edge_traversals();
-  job.stats_.compute_units += vertex_computes + ops.edge_traversals();
+  job.stats_.edge_traversals += edge_traversals;
+  job.stats_.compute_units += vertex_computes + edge_traversals;
 }
 
 void BaselineExecutor::StrayReads(Job& job, PartitionId p) {

@@ -95,6 +95,14 @@ class DynamicBitset {
   // scanners need no per-bit bounds test.
   std::span<const uint64_t> words() const { return words_; }
 
+  // Overwrites word w (bits [64w, 64w + 64)) with `bits`, which must be zero at positions
+  // >= size(). Lets a sweep build a word in a register and store it once.
+  void AssignWord(size_t w, uint64_t bits) {
+    CGRAPH_DCHECK(w < words_.size());
+    CGRAPH_DCHECK(w + 1 < words_.size() || (size_ & 63) == 0 || (bits >> (size_ & 63)) == 0);
+    words_[w] = bits;
+  }
+
   // Number of 64-bit words backing the bitset.
   size_t num_words() const { return words_.size(); }
 

@@ -14,8 +14,8 @@ namespace cgraph {
 
 namespace {
 
-// Vertices per SweepPartitions chunk. A multiple of 64 so concurrent DynamicBitset::Set
-// calls from different chunks always land in disjoint words.
+// Vertices per SweepPartitions chunk. A multiple of 64 so concurrent refresh-kernel
+// chunks always write disjoint bitmask words (VertexProgram::RefreshRange).
 constexpr uint32_t kSweepGrain = 4096;
 
 // The initially-active predicate over a vertex's *freshly initialized* state — exactly
@@ -416,36 +416,19 @@ uint64_t JobManager::RefreshActivity(Job& job, bool all_partitions, bool swap_bu
                                      bool initial) {
   const PartitionedGraph& g = layout_;
   const VertexProgram& program = job.program();
-  const double identity = AccIdentity(program.acc_kind());
   refresh_parts_.clear();
   for (PartitionId p = 0; p < g.num_partitions(); ++p) {
     if (all_partitions || job.dirty_[p]) {
       refresh_parts_.push_back(p);
-      job.active_[p].ClearAll();
     }
   }
-  // Per-vertex half, pooled: optional delta double-buffer swap, then the active-mask
-  // rebuild. Each chunk touches only its own vertices and bitmask words.
+  // Per-vertex half, pooled: the program's refresh kernel (optional delta double-buffer
+  // swap, then the active-mask rebuild) once per chunk. Each chunk writes only its own
+  // vertices and whole bitmask words, and together they cover every word.
   const std::span<const uint32_t> counts =
       SweepPartitions(refresh_parts_, [&](PartitionId p, size_t begin, size_t end) {
-        const GraphPartition& part = g.partition(p);
-        auto states = job.table_.partition(p);
-        DynamicBitset& active = job.active_[p];
-        uint32_t count = 0;
-        for (size_t i = begin; i < end; ++i) {
-          const LocalVertexId v = static_cast<LocalVertexId>(i);
-          if (swap_buffers) {
-            states[v].delta = states[v].delta_next;
-            states[v].delta_next = identity;
-          }
-          const bool is_active = initial ? program.InitiallyActive(part.vertex(v), states[v])
-                                         : program.IsActive(states[v]);
-          if (is_active) {
-            active.Set(v);
-            ++count;
-          }
-        }
-        return count;
+        return program.RefreshRange(g.partition(p), job.table_.partition(p), begin, end,
+                                    swap_buffers, initial, job.active_[p]);
       });
   // Per-partition half, on the driver in ascending partition order: registrations and
   // the scheduler's C(P) inputs.

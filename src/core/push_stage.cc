@@ -63,10 +63,16 @@ uint64_t PushStage::Broadcast(Job& job, bool flush) {
     work += g.partition(p).num_mirror_refs();
   }
   task_records_.assign(sources_.size(), 0);
+  // Every destination partition's state base, resolved once per call rather than once
+  // per mirror record.
+  state_bases_.resize(g.num_partitions());
+  for (PartitionId q = 0; q < g.num_partitions(); ++q) {
+    state_bases_[q] = job.table_.partition(q).data();
+  }
   dispatch_.Run(sources_.size(), work, [&](size_t t) {
     const PartitionId p = sources_[t];
     const GraphPartition& part = g.partition(p);
-    auto states = job.table_.partition(p);
+    VertexState* const states = state_bases_[p];
     const std::span<const LocalVertexId> masters = part.replicated_masters();
     const bool has_deferred = job.async_ && job.deferred_pending_[p] != 0;
     uint64_t records = 0;
@@ -83,11 +89,12 @@ uint64_t PushStage::Broadcast(Job& job, bool flush) {
       // the master, and only this task writes this master's mirrors.
       const std::span<const ReplicaRef> mirrors = part.mirrors_of(masters[i]);
       for (const ReplicaRef& ref : mirrors) {
-        job.table_.partition(ref.partition)[ref.local].delta_next = delta;
+        state_bases_[ref.partition][ref.local].delta_next = delta;
         // Load before store: after the first record the flag's cache line stays shared.
+        // Relaxed is enough: RunBatch's completion publishes the flags to the driver.
         std::atomic_ref<uint8_t> touched(touched_[ref.partition]);
-        if (touched.load() == 0) {
-          touched.store(1);
+        if (touched.load(std::memory_order_relaxed) == 0) {
+          touched.store(1, std::memory_order_relaxed);
         }
       }
       records += mirrors.size();

@@ -90,6 +90,7 @@ class PushStage {
   std::vector<PartitionId> sources_;
   std::vector<uint64_t> task_records_;
   std::vector<uint8_t> touched_;
+  std::vector<VertexState*> state_bases_;  // Broadcast's per-call destination bases.
 };
 
 }  // namespace cgraph

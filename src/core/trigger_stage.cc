@@ -73,7 +73,7 @@ void TriggerStage::TriggerBatch(PartitionId p, const GraphPartition& part,
     }
     if (batch_active < options_.parallel_trigger_threshold) {
       for (Job* job : batch) {
-        ProcessWords(p, part, job, job->active_[p], 0, n_words);
+        ProcessWords(p, part, job, job->active_[p], 0, n_words, /*concurrent=*/false);
       }
       return;
     }
@@ -83,6 +83,11 @@ void TriggerStage::TriggerBatch(PartitionId p, const GraphPartition& part,
   // must not wrap to a one-word chunk.
   const size_t grain_words =
       std::max<size_t>(1, (static_cast<size_t>(options_.chunk_grain) + 63) / 64);
+  const size_t n_chunks = (n_words + grain_words - 1) / grain_words;
+  // One task per chunk, at most one per worker. A job swept by a single task has no
+  // second writer in its private partition, so its scatters take the plain path.
+  const size_t tasks_for_job = std::min<size_t>(options_.num_workers, n_chunks);
+  const bool concurrent = tasks_for_job > 1;
 
   // Every worker can steal chunks of any job in the batch: the straggler's remaining
   // vertices are consumed by whichever cores come free (Fig. 6). A grain of at least the
@@ -91,8 +96,6 @@ void TriggerStage::TriggerBatch(PartitionId p, const GraphPartition& part,
   task_slot_.clear();
   for (uint32_t j = 0; j < batch.size(); ++j) {
     cursors_[j].store(0, std::memory_order_relaxed);
-    const size_t tasks_for_job =
-        std::min<size_t>(options_.num_workers, n_words / grain_words + 1);
     task_slot_.insert(task_slot_.end(), tasks_for_job, j);
   }
   pool_->RunBatch(task_slot_.size(), [&](size_t task) {
@@ -104,32 +107,26 @@ void TriggerStage::TriggerBatch(PartitionId p, const GraphPartition& part,
       if (begin >= n_words) {
         return;
       }
-      ProcessWords(p, part, job, job->active_[p], begin, std::min(begin + grain_words, n_words));
+      ProcessWords(p, part, job, job->active_[p], begin, std::min(begin + grain_words, n_words),
+                   concurrent);
     }
   });
 }
 
 uint64_t TriggerStage::ProcessWords(PartitionId p, const GraphPartition& part, Job* job,
                                     const DynamicBitset& mask, size_t word_begin,
-                                    size_t word_end) const {
-  auto states = job->table().partition(p);
-  ScatterOps ops(job->program().acc_kind(), states);
-  uint64_t vertex_computes = 0;
-  // Word-level frontier scan: 64 inactive vertices cost one load + compare, and active
-  // vertices are visited in ascending order.
-  mask.ForEachSetBitInWords(word_begin, word_end, [&](size_t v) {
-    job->program().Compute(part, static_cast<LocalVertexId>(v), states, ops);
-    ++vertex_computes;
-  });
+                                    size_t word_end, bool concurrent) const {
+  const VertexProgram::ComputeCounts counts = job->program().ComputeWords(
+      part, mask, word_begin, word_end, job->table().partition(p), concurrent);
   // Flush counters with atomic adds: several workers may finish chunks of the same job
   // concurrently.
   std::atomic_ref<uint64_t>(job->stats_.vertex_computes)
-      .fetch_add(vertex_computes, std::memory_order_relaxed);
+      .fetch_add(counts.vertices, std::memory_order_relaxed);
   std::atomic_ref<uint64_t>(job->stats_.edge_traversals)
-      .fetch_add(ops.edge_traversals(), std::memory_order_relaxed);
+      .fetch_add(counts.edges, std::memory_order_relaxed);
   std::atomic_ref<uint64_t>(job->stats_.compute_units)
-      .fetch_add(vertex_computes + ops.edge_traversals(), std::memory_order_relaxed);
-  return vertex_computes;
+      .fetch_add(counts.vertices + counts.edges, std::memory_order_relaxed);
+  return counts.vertices;
 }
 
 void TriggerStage::Redrain(PartitionId p, const GraphPartition& part, Job* job) {
@@ -138,14 +135,11 @@ void TriggerStage::Redrain(PartitionId p, const GraphPartition& part, Job* job) 
   if (interior.empty() && replicated.empty()) {
     return;
   }
-  const AccKind kind = job->program().acc_kind();
-  VertexProgram& program = job->program();
-  const double identity = AccIdentity(kind);
+  const VertexProgram& program = job->program();
   auto states = job->table().partition(p);
   const size_t n_words = (static_cast<size_t>(part.num_local_vertices()) + 63) / 64;
   drain_scratch_.Resize(part.num_local_vertices());
   uint64_t drained = 0;
-  std::vector<double>& deferred = job->deferred_[p];
   bool any_deferred = false;
   while (true) {
     // Collect this round's drain set: master vertices whose pending contribution the
@@ -155,47 +149,19 @@ void TriggerStage::Redrain(PartitionId p, const GraphPartition& part, Job* job) 
     // global swap, exactly as BSP discards them. Mirrors are never drained — their
     // deltas belong to their masters and travel through the mirror sync untouched.
     drain_scratch_.ClearAll();
-    uint32_t activations = 0;
-    for (const LocalVertexId v : interior) {
-      VertexState& s = states[v];
-      if (s.delta_next == identity) {
-        continue;
-      }
-      VertexState probe = s;
-      probe.delta = s.delta_next;
-      if (!program.IsActive(probe)) {
-        continue;
-      }
-      s.delta = s.delta_next;
-      s.delta_next = identity;
-      drain_scratch_.Set(v);
-      ++activations;
-    }
+    uint32_t activations = program.DrainPending(interior, states, {}, drain_scratch_);
     // Replicated masters drain too: the master's copy of the contribution is consumed
     // here, and the mirrors' copy is Acc-folded into the deferred window so the next
     // sync boundary still delivers it — each contribution reaches every replica exactly
     // once, the master just no longer waits an iteration to act on it.
-    for (size_t i = 0; i < replicated.size(); ++i) {
-      VertexState& s = states[replicated[i]];
-      if (s.delta_next == identity) {
-        continue;
-      }
-      VertexState probe = s;
-      probe.delta = s.delta_next;
-      if (!program.IsActive(probe)) {
-        continue;
-      }
-      deferred[i] = AccApply(kind, deferred[i], s.delta_next);
-      any_deferred = true;
-      s.delta = s.delta_next;
-      s.delta_next = identity;
-      drain_scratch_.Set(replicated[i]);
-      ++activations;
-    }
+    const uint32_t replicated_drained =
+        program.DrainPending(replicated, states, job->deferred_[p], drain_scratch_);
+    any_deferred |= replicated_drained > 0;
+    activations += replicated_drained;
     if (activations == 0) {
       break;
     }
-    drained += ProcessWords(p, part, job, drain_scratch_, 0, n_words);
+    drained += ProcessWords(p, part, job, drain_scratch_, 0, n_words, /*concurrent=*/false);
   }
   if (any_deferred) {
     job->deferred_pending_[p] = 1;

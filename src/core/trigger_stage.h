@@ -14,6 +14,11 @@
 // jobs hold fewer than EngineOptions::parallel_trigger_threshold active vertices run
 // inline on the driver thread instead (dispatch would cost more than the sweep). Cost is
 // proportional to the frontier, not the partition.
+//
+// Each chunk is one call of the program's ComputeWords kernel (ProgramBase). A job gets
+// min(num_workers, chunks) tasks; only when that is more than one can two workers
+// scatter into the same private partition, so only then do its scatters use the atomic
+// sink. The inline path, one worker, a one-chunk sweep and the re-drain scatter plainly.
 
 #ifndef SRC_CORE_TRIGGER_STAGE_H_
 #define SRC_CORE_TRIGGER_STAGE_H_
@@ -49,12 +54,14 @@ class TriggerStage {
   void TriggerBatch(PartitionId p, const GraphPartition& part, std::span<Job* const> batch)
       CGRAPH_REQUIRES_DRIVER;
 
-  // Sweeps words [word_begin, word_end) of `mask`, invoking Compute on each set bit (or
-  // the dense per-vertex loop under the ablation), and flushes the stat counters with
-  // atomic adds. `mask` is the job's partition-p active set on the normal trigger path
-  // and the re-drain set on the async path. Returns the Compute calls issued.
+  // Sweeps words [word_begin, word_end) of `mask` through the program's ComputeWords
+  // kernel and flushes the stat counters with atomic adds. `mask` is the job's partition-p
+  // active set on the normal trigger path and the re-drain set on the async path.
+  // `concurrent` is true only when another task sweeps the same job's partition at the
+  // same time (atomic scatters). Returns the Compute calls issued.
   uint64_t ProcessWords(PartitionId p, const GraphPartition& part, Job* job,
-                        const DynamicBitset& mask, size_t word_begin, size_t word_end) const;
+                        const DynamicBitset& mask, size_t word_begin, size_t word_end,
+                        bool concurrent) const;
 
   // Async intra-iteration visibility (docs/execution_modes.md): after the normal trigger
   // sweep, repeatedly consumes pending delta_next contributions of the partition's

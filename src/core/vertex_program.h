@@ -7,17 +7,32 @@
 // partitions receive them at the Push stage. Multi-phase algorithms (SCC) additionally
 // drive the engine through phase transitions via OnIterationEnd()/ReinitVertex().
 //
-// Program objects are per-job and may hold phase state; the engine invokes Compute()
-// concurrently from many workers but calls the phase hooks only at single-threaded
-// synchronization points.
+// A program derives from ProgramBase<Derived, Acc>, which implements the engine's
+// per-chunk kernels (ComputeWords, RefreshRange, DrainPending, ReenterDescending) once
+// for every program. The engine makes one virtual call per chunk of vertices; inside it
+// the program's non-virtual Compute, its IsActive and the Acc inline.
+//
+// Concurrency contract. Program objects are per-job and may hold phase state. Within
+// one trigger, several workers may call ComputeWords for different chunks of the same
+// (job, partition) at once, and only then: their Compute calls then run concurrently and
+// scatter through the atomic sink (Scatter<Acc, true>), while Compute writes only its own
+// vertex's value/delta/aux. When the job's sweep of the partition is one task (the inline
+// path, one worker, one chunk, the async re-drain, CLIP reentry), scatters are plain
+// loads and stores (Scatter<Acc, false>). The refresh kernel runs concurrently only on
+// disjoint vertex ranges. The phase hooks run only at single-threaded synchronization
+// points.
 
 #ifndef SRC_CORE_VERTEX_PROGRAM_H_
 #define SRC_CORE_VERTEX_PROGRAM_H_
 
-#include <atomic>
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <span>
 #include <string_view>
 
+#include "src/common/bitset.h"
+#include "src/common/check.h"
 #include "src/common/types.h"
 #include "src/partition/partitioned_graph.h"
 #include "src/storage/private_table.h"
@@ -25,17 +40,17 @@
 
 namespace cgraph {
 
-// Scatter sink handed to Compute(): accumulates contributions into the *local* targets'
-// delta_next slots with the job's Acc, and counts edge traversals for the cost model.
-class ScatterOps {
+// Scatter sink handed to Compute(): Acc-accumulates contributions into the *local*
+// targets' delta_next slots and counts edge traversals for the cost model. kAtomic is
+// true only when another worker may be scattering into the same private partition (see
+// the concurrency contract above); both paths leave bit-identical slots.
+template <AccKind K, bool kAtomic>
+class Scatter {
  public:
-  ScatterOps(AccKind kind, std::span<VertexState> states)
-      : kind_(kind), states_(states) {}
+  explicit Scatter(std::span<VertexState> states) : states_(states) {}
 
-  // Acc-accumulates `contribution` into the target's next-iteration delta. Thread-safe
-  // against concurrent scatters from other workers processing the same partition.
   void Accumulate(LocalVertexId target, double contribution) {
-    AtomicAccumulate(kind_, &states_[target].delta_next, contribution);
+    AccumulateInto<K, kAtomic>(&states_[target].delta_next, contribution);
     ++edge_traversals_;
   }
 
@@ -46,7 +61,6 @@ class ScatterOps {
   uint64_t edge_traversals() const { return edge_traversals_; }
 
  private:
-  AccKind kind_;
   std::span<VertexState> states_;
   uint64_t edge_traversals_ = 0;
 };
@@ -58,6 +72,12 @@ class VertexProgram {
     kContinue,  // Keep iterating; the engine finishes the job when nothing is active.
     kNewPhase,  // Re-initialize every vertex state via ReinitVertex() and continue.
     kFinished,  // The job is done regardless of remaining activity.
+  };
+
+  // Work done by a kernel call, for the cost model: Compute calls and scatters.
+  struct ComputeCounts {
+    uint64_t vertices = 0;
+    uint64_t edges = 0;
   };
 
   // Passed to OnIterationEnd so multi-phase programs can inspect global progress.
@@ -72,7 +92,7 @@ class VertexProgram {
 
   virtual std::string_view name() const = 0;
 
-  // The accumulator joining neighbor contributions (paper's Acc()).
+  // The accumulator joining neighbor contributions (paper's Acc()), fixed by ProgramBase.
   virtual AccKind acc_kind() const = 0;
 
   // Monotonicity / confluence trait (docs/execution_modes.md): declares that the
@@ -118,10 +138,39 @@ class VertexProgram {
     return IsActive(state);
   }
 
-  // Processes one active vertex of the loaded partition: consume state.delta into
-  // state.value and scatter contributions through `ops` (paper Fig. 7).
-  virtual void Compute(const GraphPartition& partition, LocalVertexId v,
-                       std::span<VertexState> states, ScatterOps& ops) = 0;
+  // The per-chunk kernels, implemented by ProgramBase. The engine calls each once per
+  // chunk, never per vertex.
+
+  // Trigger kernel (paper Fig. 7 over one chunk): runs Compute on every set bit of `mask`
+  // in words [word_begin, word_end), in ascending order. `concurrent` says another worker
+  // may sweep a different chunk of the same private partition meanwhile, so scatters
+  // must be atomic.
+  virtual ComputeCounts ComputeWords(const GraphPartition& partition, const DynamicBitset& mask,
+                                     size_t word_begin, size_t word_end,
+                                     std::span<VertexState> states, bool concurrent) = 0;
+
+  // Activity-refresh kernel over local vertices [begin, end), `begin` a multiple of 64:
+  // when `swap_buffers`, consumes the double buffer (delta = delta_next, delta_next = the
+  // Acc identity); then writes `active`'s words for the range, setting every vertex that
+  // IsActive (InitiallyActive when `initial`) accepts. Returns the number set.
+  virtual uint32_t RefreshRange(const GraphPartition& partition, std::span<VertexState> states,
+                                size_t begin, size_t end, bool swap_buffers, bool initial,
+                                DynamicBitset& active) const = 0;
+
+  // Re-drain probe: each listed vertex whose pending delta_next IsActive accepts as its
+  // delta consumes it (delta = delta_next, delta_next = identity) and is set in
+  // `drained`; when `fold` is non-empty, the consumed delta of vertices[i] is also
+  // Acc-folded into fold[i]. Returns the number consumed.
+  virtual uint32_t DrainPending(std::span<const LocalVertexId> vertices,
+                                std::span<VertexState> states, std::span<double> fold,
+                                DynamicBitset& drained) const = 0;
+
+  // CLIP reentry round: visits `vertices` in descending order; each one whose pending
+  // delta_next IsActive accepts consumes it and runs Compute at once (plain scatters), so
+  // later vertices of the same round see its contributions.
+  virtual ComputeCounts ReenterDescending(const GraphPartition& partition,
+                                          std::span<const LocalVertexId> vertices,
+                                          std::span<VertexState> states) = 0;
 
   // Called at the job's iteration boundary, after synchronization. Default: plain
   // fixpoint semantics (run while anything is active).
@@ -136,6 +185,130 @@ class VertexProgram {
   virtual void ReinitVertex(const LocalVertexInfo& info, VertexState& state) const {
     (void)info;
     (void)state;
+  }
+};
+
+// Implements the kernels once for every program. Derived provides, as in Fig. 7:
+//
+//   bool IsActive(const VertexState&) const final;
+//   template <class Ops>
+//   void Compute(const GraphPartition&, LocalVertexId v, std::span<VertexState>, Ops& ops);
+//
+// Compute consumes states[v].delta into states[v].value and scatters through
+// ops.Accumulate(target, contribution); Ops is a Scatter<K, kAtomic>. Declaring IsActive
+// final lets the kernels inline it.
+template <class Derived, AccKind K>
+class ProgramBase : public VertexProgram {
+ public:
+  AccKind acc_kind() const final { return K; }
+
+  ComputeCounts ComputeWords(const GraphPartition& partition, const DynamicBitset& mask,
+                             size_t word_begin, size_t word_end, std::span<VertexState> states,
+                             bool concurrent) final {
+    return concurrent ? Sweep<true>(partition, mask, word_begin, word_end, states)
+                      : Sweep<false>(partition, mask, word_begin, word_end, states);
+  }
+
+  uint32_t RefreshRange(const GraphPartition& partition, std::span<VertexState> states,
+                        size_t begin, size_t end, bool swap_buffers, bool initial,
+                        DynamicBitset& active) const final {
+    if (initial) {
+      CGRAPH_DCHECK(!swap_buffers);
+      return Refresh<false>(states, begin, end, active, [&](size_t v, const VertexState& s) {
+        return self().InitiallyActive(partition.vertex(static_cast<LocalVertexId>(v)), s);
+      });
+    }
+    const auto is_active = [this](size_t, const VertexState& s) { return self().IsActive(s); };
+    return swap_buffers ? Refresh<true>(states, begin, end, active, is_active)
+                        : Refresh<false>(states, begin, end, active, is_active);
+  }
+
+  uint32_t DrainPending(std::span<const LocalVertexId> vertices, std::span<VertexState> states,
+                        std::span<double> fold, DynamicBitset& drained) const final {
+    uint32_t consumed = 0;
+    for (size_t i = 0; i < vertices.size(); ++i) {
+      VertexState& s = states[vertices[i]];
+      const double pending = s.delta_next;
+      if (!TakePending(s)) {
+        continue;
+      }
+      if (!fold.empty()) {
+        fold[i] = AccApply<K>(fold[i], pending);
+      }
+      drained.Set(vertices[i]);
+      ++consumed;
+    }
+    return consumed;
+  }
+
+  ComputeCounts ReenterDescending(const GraphPartition& partition,
+                                  std::span<const LocalVertexId> vertices,
+                                  std::span<VertexState> states) final {
+    Scatter<K, false> ops(states);
+    uint64_t computes = 0;
+    for (size_t i = vertices.size(); i-- > 0;) {
+      if (TakePending(states[vertices[i]])) {
+        self().Compute(partition, vertices[i], states, ops);
+        ++computes;
+      }
+    }
+    return {computes, ops.edge_traversals()};
+  }
+
+ private:
+  static constexpr double kIdentity = AccIdentity(K);
+
+  Derived& self() { return static_cast<Derived&>(*this); }
+  const Derived& self() const { return static_cast<const Derived&>(*this); }
+
+  template <bool kAtomic>
+  ComputeCounts Sweep(const GraphPartition& partition, const DynamicBitset& mask,
+                      size_t word_begin, size_t word_end, std::span<VertexState> states) {
+    Scatter<K, kAtomic> ops(states);
+    uint64_t computes = 0;
+    mask.ForEachSetBitInWords(word_begin, word_end, [&](size_t v) {
+      self().Compute(partition, static_cast<LocalVertexId>(v), states, ops);
+      ++computes;
+    });
+    return {computes, ops.edge_traversals()};
+  }
+
+  template <bool kSwap, class Pred>
+  static uint32_t Refresh(std::span<VertexState> states, size_t begin, size_t end,
+                          DynamicBitset& active, Pred&& pred) {
+    CGRAPH_DCHECK(begin % 64 == 0);
+    uint32_t count = 0;
+    for (size_t word_begin = begin; word_begin < end; word_begin += 64) {
+      const size_t word_end = std::min(word_begin + 64, end);
+      uint64_t bits = 0;
+      for (size_t v = word_begin; v < word_end; ++v) {
+        VertexState& s = states[v];
+        if constexpr (kSwap) {
+          s.delta = s.delta_next;
+          s.delta_next = kIdentity;
+        }
+        bits |= uint64_t{pred(v, s)} << (v - word_begin);
+      }
+      active.AssignWord(word_begin / 64, bits);
+      count += static_cast<uint32_t>(std::popcount(bits));
+    }
+    return count;
+  }
+
+  // Consumes s's pending delta_next as its delta when IsActive accepts it; otherwise
+  // leaves s untouched (a rejected contribution waits for the iteration's swap).
+  bool TakePending(VertexState& s) const {
+    if (s.delta_next == kIdentity) {
+      return false;
+    }
+    VertexState probe = s;
+    probe.delta = s.delta_next;
+    if (!self().IsActive(probe)) {
+      return false;
+    }
+    s.delta = s.delta_next;
+    s.delta_next = kIdentity;
+    return true;
   }
 };
 

@@ -30,15 +30,16 @@ struct VertexState {
 };
 
 // The paper's user-supplied Acc() is always a commutative, associative reduction; we
-// enumerate the three used by the benchmark algorithms so scatters can accumulate with a
-// lock-free compare-exchange loop.
+// enumerate the three used by the benchmark algorithms. The push stage's merges take the
+// kind at run time (AccApply(kind, ...)); the trigger's scatters take it as a template
+// argument (AccumulateInto<K, kAtomic>) so the reduction inlines into each program's kernel.
 enum class AccKind : uint8_t {
   kSum,
   kMin,
   kMax,
 };
 
-inline double AccIdentity(AccKind kind) {
+constexpr double AccIdentity(AccKind kind) {
   switch (kind) {
     case AccKind::kSum:
       return 0.0;
@@ -50,31 +51,53 @@ inline double AccIdentity(AccKind kind) {
   return 0.0;
 }
 
+template <AccKind K>
+constexpr double AccApply(double a, double b) {
+  if constexpr (K == AccKind::kSum) {
+    return a + b;
+  } else if constexpr (K == AccKind::kMin) {
+    return a < b ? a : b;
+  } else {
+    return a > b ? a : b;
+  }
+}
+
 inline double AccApply(AccKind kind, double a, double b) {
   switch (kind) {
     case AccKind::kSum:
-      return a + b;
+      return AccApply<AccKind::kSum>(a, b);
     case AccKind::kMin:
-      return a < b ? a : b;
+      return AccApply<AccKind::kMin>(a, b);
     case AccKind::kMax:
-      return a > b ? a : b;
+      return AccApply<AccKind::kMax>(a, b);
   }
   return a;
 }
 
-// Lock-free accumulate of `contribution` into `slot` under `kind`. Correct for any number
-// of concurrent writers because the reduction is commutative and associative.
-inline void AtomicAccumulate(AccKind kind, double* slot, double contribution) {
-  std::atomic_ref<double> cell(*slot);
-  double observed = cell.load(std::memory_order_relaxed);
-  while (true) {
-    const double desired = AccApply(kind, observed, contribution);
-    if (desired == observed) {
-      return;  // No change (min/max already dominated).
+// Acc-accumulates `contribution` into `slot` under K. With kAtomic it is a lock-free
+// compare-exchange loop, correct for any number of concurrent writers because the
+// reduction is commutative and associative. Without it, it is one plain load and store,
+// for a slot that no other thread accesses during the call. On both paths a result
+// numerically equal to the old value leaves the slot's bits alone (-0.0 + 0.0 keeps
+// -0.0), so the two leave bit-identical slots.
+template <AccKind K, bool kAtomic>
+inline void AccumulateInto(double* slot, double contribution) {
+  if constexpr (kAtomic) {
+    std::atomic_ref<double> cell(*slot);
+    double observed = cell.load(std::memory_order_relaxed);
+    while (true) {
+      const double desired = AccApply<K>(observed, contribution);
+      if (desired == observed) {
+        return;  // No change (min/max already dominated).
+      }
+      if (cell.compare_exchange_weak(observed, desired, std::memory_order_relaxed)) {
+        return;
+      }
     }
-    if (cell.compare_exchange_weak(observed, desired, std::memory_order_relaxed)) {
-      return;
-    }
+  } else {
+    const double observed = *slot;
+    const double desired = AccApply<K>(observed, contribution);
+    *slot = desired == observed ? observed : desired;
   }
 }
 

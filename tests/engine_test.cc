@@ -180,12 +180,20 @@ TEST(EngineTest, SchedulerAblationStillCorrect) {
 
 // WCC that records whether any vertex of a trigger ran off the driver thread. The first
 // driver-side Compute waits up to 200 ms for another thread to join, so a trigger that
-// was split into several tasks shows on any multi-core host.
-class DriverOnlyWcc : public WccProgram {
+// was split into several tasks shows on any multi-core host. It is its own ProgramBase,
+// so the probe sits in the Compute that the trigger kernel inlines.
+class DriverOnlyWcc : public ProgramBase<DriverOnlyWcc, AccKind::kMin> {
  public:
   explicit DriverOnlyWcc(std::thread::id driver) : driver_(driver) {}
+  std::string_view name() const override { return wcc_.name(); }
+  VertexState InitialState(const LocalVertexInfo& info) const override {
+    return wcc_.InitialState(info);
+  }
+  bool IsActive(const VertexState& state) const final { return wcc_.IsActive(state); }
+
+  template <class Ops>
   void Compute(const GraphPartition& partition, LocalVertexId v, std::span<VertexState> states,
-               ScatterOps& ops) override {
+               Ops& ops) {
     if (std::this_thread::get_id() != driver_) {
       off_driver_.store(true);
     } else if (!waited_) {
@@ -195,11 +203,12 @@ class DriverOnlyWcc : public WccProgram {
         std::this_thread::yield();
       }
     }
-    WccProgram::Compute(partition, v, states, ops);
+    wcc_.Compute(partition, v, states, ops);
   }
   bool off_driver() const { return off_driver_.load(); }
 
  private:
+  WccProgram wcc_;
   std::thread::id driver_;
   bool waited_ = false;  // Only the driver thread reads or writes it.
   std::atomic<bool> off_driver_{false};
@@ -361,6 +370,75 @@ TEST(EngineTest, SnapshotJobsSeeTheirVersions) {
   }
 }
 
+// One run of a min/max-accumulator mix under the given dispatch settings, reduced to
+// what must not depend on them: the modeled CSV and every job's values and aux.
+struct DispatchSettings {
+  uint32_t workers = 1;
+  uint32_t sweep_threshold = 0;
+  uint32_t trigger_threshold = 0;
+  uint32_t chunk_grain = 0;
+  bool async = false;
+};
+
+struct MixOutcome {
+  std::string csv;
+  std::vector<std::vector<double>> values;  // FinalValues then FinalAux, per job.
+  uint64_t deferred_pushes = 0;
+};
+
+MixOutcome RunMinMaxMix(const PartitionedGraph& pg, VertexId source,
+                        const DispatchSettings& settings) {
+  EngineOptions options = test_support::TestEngineOptions();
+  options.num_workers = settings.workers;
+  options.parallel_sweep_threshold = settings.sweep_threshold;
+  options.parallel_trigger_threshold = settings.trigger_threshold;
+  options.chunk_grain = settings.chunk_grain;
+  if (settings.async) {
+    options.execution_mode = ExecutionMode::kAsync;
+    options.staleness = 2;
+    options.async_defer_divisor = 0;  // Defer every boundary the window allows.
+  }
+  LtpEngine engine(&pg, options);
+  // Min/max-accumulator jobs only: their values do not depend on the trigger's
+  // scatter order, so they are exact at any worker count.
+  engine.AddJob(std::make_unique<SsspProgram>(source));
+  engine.AddJob(std::make_unique<BfsProgram>(source));
+  engine.AddJob(std::make_unique<WccProgram>());
+  engine.AddJob(std::make_unique<KCoreProgram>(3));
+  if (!settings.async) {
+    engine.AddJob(std::make_unique<SccProgram>());  // Multi-phase: the kNewPhase path.
+  }
+  RunReport report = engine.Run();
+  MixOutcome outcome;
+  for (JobStats& job : report.jobs) {
+    job.wall_seconds = 0.0;
+    outcome.deferred_pushes += job.deferred_pushes;
+  }
+  report.wall_seconds = 0.0;
+  report.workers = 1;  // The modeled-time columns divide by the worker count.
+  outcome.csv = RunReportToCsv(report, CostModel());
+  for (JobId id = 0; id < report.jobs.size(); ++id) {
+    outcome.values.push_back(engine.FinalValues(id));
+    outcome.values.push_back(engine.FinalAux(id));
+  }
+  return outcome;
+}
+
+// Bit-for-bit, so a NaN or a signed zero would show too.
+bool SameBits(const std::vector<std::vector<double>>& a,
+              const std::vector<std::vector<double>>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size() ||
+        std::memcmp(a[i].data(), b[i].data(), a[i].size() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // Forcing every pooled pass through the pool's batch dispatch (threshold 0: init and
 // activity sweeps, mirror collect, push merge and broadcast, async deferred folds and
 // flushes) must not change any modeled metric or converged value, and neither may the
@@ -371,73 +449,50 @@ TEST(EngineTest, ParallelSweepThresholdZeroMatchesDefault) {
   const EdgeList edges = GenerateErdosRenyi(500, 4000, 37);
   const VertexId source = PickSourceVertex(edges);
   const PartitionedGraph pg = Partition(edges, 8);
-  const CostModel cost;
-  const uint32_t default_threshold = test_support::TestEngineOptions().parallel_sweep_threshold;
-
-  struct Outcome {
-    std::string csv;
-    std::vector<std::vector<double>> values;  // FinalValues then FinalAux, per job.
-    uint64_t deferred_pushes = 0;
-  };
-  auto run = [&](uint32_t workers, uint32_t threshold, bool async) {
-    EngineOptions options = test_support::TestEngineOptions();
-    options.num_workers = workers;
-    options.parallel_sweep_threshold = threshold;
-    if (async) {
-      options.execution_mode = ExecutionMode::kAsync;
-      options.staleness = 2;
-      options.async_defer_divisor = 0;  // Defer every boundary the window allows.
-    }
-    LtpEngine engine(&pg, options);
-    // Min/max-accumulator jobs only: their values do not depend on the trigger's
-    // scatter order, so they are exact at any worker count.
-    engine.AddJob(std::make_unique<SsspProgram>(source));
-    engine.AddJob(std::make_unique<BfsProgram>(source));
-    engine.AddJob(std::make_unique<WccProgram>());
-    engine.AddJob(std::make_unique<KCoreProgram>(3));
-    if (!async) {
-      engine.AddJob(std::make_unique<SccProgram>());  // Multi-phase: the kNewPhase path.
-    }
-    RunReport report = engine.Run();
-    Outcome outcome;
-    for (JobStats& job : report.jobs) {
-      job.wall_seconds = 0.0;
-      outcome.deferred_pushes += job.deferred_pushes;
-    }
-    report.wall_seconds = 0.0;
-    report.workers = 1;  // The modeled-time columns divide by the worker count.
-    outcome.csv = RunReportToCsv(report, cost);
-    for (JobId id = 0; id < report.jobs.size(); ++id) {
-      outcome.values.push_back(engine.FinalValues(id));
-      outcome.values.push_back(engine.FinalAux(id));
-    }
-    return outcome;
-  };
-  // Bit-for-bit, so a NaN or a signed zero would show too.
-  auto same_bits = [](const std::vector<std::vector<double>>& a,
-                      const std::vector<std::vector<double>>& b) {
-    if (a.size() != b.size()) {
-      return false;
-    }
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i].size() != b[i].size() ||
-          std::memcmp(a[i].data(), b[i].data(), a[i].size() * sizeof(double)) != 0) {
-        return false;
-      }
-    }
-    return true;
-  };
-
+  const EngineOptions defaults = test_support::TestEngineOptions();
   for (const bool async : {false, true}) {
     SCOPED_TRACE(async ? "async staleness 2" : "bsp");
-    const Outcome serial = run(1, default_threshold, async);
+    DispatchSettings settings{1, defaults.parallel_sweep_threshold,
+                              defaults.parallel_trigger_threshold, defaults.chunk_grain, async};
+    const MixOutcome serial = RunMinMaxMix(pg, source, settings);
     if (async) {
       EXPECT_GT(serial.deferred_pushes, 0u);  // The deferred fold and flush really ran.
     }
-    for (const uint32_t threshold : {0u, default_threshold}) {
-      const Outcome pooled = run(4, threshold, async);
+    settings.workers = 4;
+    for (const uint32_t threshold : {0u, defaults.parallel_sweep_threshold}) {
+      settings.sweep_threshold = threshold;
+      const MixOutcome pooled = RunMinMaxMix(pg, source, settings);
       EXPECT_EQ(pooled.csv, serial.csv) << "threshold " << threshold;
-      EXPECT_TRUE(same_bits(pooled.values, serial.values)) << "threshold " << threshold;
+      EXPECT_TRUE(SameBits(pooled.values, serial.values)) << "threshold " << threshold;
+    }
+  }
+}
+
+// Both trigger scatter paths against a one-worker run. A 64-vertex grain with every
+// trigger pooled splits each job's sweep over several workers, so its scatters take the
+// atomic path; a grain of at least the partition makes every job's sweep one task, so
+// the batch's jobs run their plain path side by side. Neither may change the modeled
+// CSV or a bit of the min/max programs' values.
+TEST(EngineTest, TriggerScatterPathsMatchSerial) {
+  const EdgeList edges = GenerateErdosRenyi(4000, 32000, 41);
+  const VertexId source = PickSourceVertex(edges);
+  const PartitionedGraph pg = Partition(edges, 8);
+  const EngineOptions defaults = test_support::TestEngineOptions();
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async staleness 2" : "bsp");
+    DispatchSettings settings{1, defaults.parallel_sweep_threshold,
+                              defaults.parallel_trigger_threshold, defaults.chunk_grain, async};
+    const MixOutcome serial = RunMinMaxMix(pg, source, settings);
+    settings.workers = 4;
+    for (const uint32_t threshold : {0u, defaults.parallel_trigger_threshold}) {
+      for (const uint32_t grain : {64u, UINT32_MAX}) {
+        settings.trigger_threshold = threshold;
+        settings.chunk_grain = grain;
+        const MixOutcome pooled = RunMinMaxMix(pg, source, settings);
+        EXPECT_EQ(pooled.csv, serial.csv) << "threshold " << threshold << " grain " << grain;
+        EXPECT_TRUE(SameBits(pooled.values, serial.values))
+            << "threshold " << threshold << " grain " << grain;
+      }
     }
   }
 }

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <thread>
 #include <vector>
 
+#include "src/core/vertex_program.h"
 #include "src/graph/generators.h"
 #include "src/partition/partitioned_graph.h"
 #include "src/storage/global_table.h"
@@ -29,12 +32,17 @@ TEST(VertexStateTest, AccApplySemantics) {
   EXPECT_DOUBLE_EQ(AccApply(AccKind::kMax, 2.0, 3.0), 3.0);
 }
 
+template <AccKind K>
+double AccumulateFromIdentity(double contribution) {
+  double slot = AccIdentity(K);
+  AccumulateInto<K, /*kAtomic=*/true>(&slot, contribution);
+  return slot;
+}
+
 TEST(VertexStateTest, AccumulateFromIdentityYieldsValue) {
-  for (AccKind kind : {AccKind::kSum, AccKind::kMin, AccKind::kMax}) {
-    double slot = AccIdentity(kind);
-    AtomicAccumulate(kind, &slot, 7.5);
-    EXPECT_DOUBLE_EQ(slot, 7.5);
-  }
+  EXPECT_DOUBLE_EQ(AccumulateFromIdentity<AccKind::kSum>(7.5), 7.5);
+  EXPECT_DOUBLE_EQ(AccumulateFromIdentity<AccKind::kMin>(7.5), 7.5);
+  EXPECT_DOUBLE_EQ(AccumulateFromIdentity<AccKind::kMax>(7.5), 7.5);
 }
 
 TEST(VertexStateTest, ConcurrentSumAccumulateIsExactForIntegers) {
@@ -46,7 +54,7 @@ TEST(VertexStateTest, ConcurrentSumAccumulateIsExactForIntegers) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&slot] {
       for (int i = 0; i < kPerThread; ++i) {
-        AtomicAccumulate(AccKind::kSum, &slot, 1.0);
+        AccumulateInto<AccKind::kSum, /*kAtomic=*/true>(&slot, 1.0);
       }
     });
   }
@@ -62,7 +70,7 @@ TEST(VertexStateTest, ConcurrentMinAccumulate) {
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&slot, t] {
       for (int i = 0; i < 1000; ++i) {
-        AtomicAccumulate(AccKind::kMin, &slot, static_cast<double>(t * 1000 + i));
+        AccumulateInto<AccKind::kMin, /*kAtomic=*/true>(&slot, static_cast<double>(t * 1000 + i));
       }
     });
   }
@@ -70,6 +78,40 @@ TEST(VertexStateTest, ConcurrentMinAccumulate) {
     t.join();
   }
   EXPECT_DOUBLE_EQ(slot, 0.0);
+}
+
+// Run serially, the plain and the atomic scatter leave bit-identical slots for every
+// Acc, including signed zeros, infinities and NaN, from every starting value: the plain
+// path is only sound if nothing but the concurrency differs.
+template <AccKind K>
+void ExpectPlainMatchesAtomic() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double values[] = {0.0, -0.0, kInf, -kInf, 1.5, -2.25,
+                           std::numeric_limits<double>::quiet_NaN()};
+  for (const double start : values) {
+    for (const double contribution : values) {
+      std::vector<VertexState> plain(1);
+      std::vector<VertexState> atomic(1);
+      plain[0].delta_next = start;
+      atomic[0].delta_next = start;
+      Scatter<K, false> plain_ops(plain);
+      Scatter<K, true> atomic_ops(atomic);
+      plain_ops.Accumulate(0, contribution);
+      atomic_ops.Accumulate(0, contribution);
+      EXPECT_EQ(std::bit_cast<uint64_t>(plain[0].delta_next),
+                std::bit_cast<uint64_t>(atomic[0].delta_next))
+          << "acc " << static_cast<int>(K) << " start " << start << " contribution "
+          << contribution;
+      EXPECT_EQ(plain_ops.edge_traversals(), 1u);
+      EXPECT_EQ(atomic_ops.edge_traversals(), 1u);
+    }
+  }
+}
+
+TEST(VertexStateTest, PlainAndAtomicScatterLeaveIdenticalBits) {
+  ExpectPlainMatchesAtomic<AccKind::kSum>();
+  ExpectPlainMatchesAtomic<AccKind::kMin>();
+  ExpectPlainMatchesAtomic<AccKind::kMax>();
 }
 
 TEST(PrivateTableTest, LayoutMatchesGraph) {
