@@ -22,7 +22,9 @@ namespace {
 using namespace cgraph;
 
 // Deriving from ProgramBase fixes the Acc (heat accumulates additively) and supplies the
-// engine's per-chunk kernels, into which IsActive and Compute below inline.
+// engine's per-chunk kernels, into which InitialState, IsActive and Compute below inline.
+// They are plain members, not overrides; the optional InitiallyActive and ReinitVertex
+// hooks keep ProgramBase's defaults here.
 class HeatDiffusionProgram : public ProgramBase<HeatDiffusionProgram, AccKind::kSum> {
  public:
   HeatDiffusionProgram(VertexId seed_vertex, double retention, double epsilon)
@@ -31,7 +33,7 @@ class HeatDiffusionProgram : public ProgramBase<HeatDiffusionProgram, AccKind::k
   std::string_view name() const override { return "heat-diffusion"; }
 
   // The seed starts with one unit of pending heat; everyone else is cold.
-  VertexState InitialState(const LocalVertexInfo& info) const override {
+  VertexState InitialState(const LocalVertexInfo& info) const {
     VertexState state;
     state.value = 0.0;
     state.delta = info.global_id == seed_ ? 1.0 : 0.0;
@@ -39,7 +41,7 @@ class HeatDiffusionProgram : public ProgramBase<HeatDiffusionProgram, AccKind::k
   }
 
   // A vertex is busy while it has non-negligible pending heat (IsNotConvergent).
-  bool IsActive(const VertexState& state) const final { return state.delta > epsilon_; }
+  bool IsActive(const VertexState& state) const { return state.delta > epsilon_; }
 
   // Absorb pending heat; re-emit (1 - retention) of it along out-edges, proportionally
   // to edge weights. The split divides by the vertex's *global* out-weight: a replicated

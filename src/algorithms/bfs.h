@@ -18,14 +18,14 @@ class BfsProgram : public ProgramBase<BfsProgram, AccKind::kMin> {
   // Min-hop fixpoint — same monotone structure as SSSP over unit weights.
   bool monotonic() const override { return true; }
 
-  VertexState InitialState(const LocalVertexInfo& info) const override {
+  VertexState InitialState(const LocalVertexInfo& info) const {
     VertexState s;
     s.value = std::numeric_limits<double>::infinity();
     s.delta = info.global_id == source_ ? 0.0 : std::numeric_limits<double>::infinity();
     return s;
   }
 
-  bool IsActive(const VertexState& state) const final { return state.delta < state.value; }
+  bool IsActive(const VertexState& state) const { return state.delta < state.value; }
 
   template <class Ops>
   void Compute(const GraphPartition& partition, LocalVertexId v, std::span<VertexState> states,

@@ -21,7 +21,7 @@ class KCoreProgram : public ProgramBase<KCoreProgram, AccKind::kSum> {
   // (late -1.0s may arrive after a vertex peeled), so k-core equivalence is on aux.
   bool monotonic() const override { return true; }
 
-  VertexState InitialState(const LocalVertexInfo& info) const override {
+  VertexState InitialState(const LocalVertexInfo& info) const {
     VertexState s;
     s.value = static_cast<double>(info.global_total_degree);
     s.delta = 0.0;
@@ -29,14 +29,13 @@ class KCoreProgram : public ProgramBase<KCoreProgram, AccKind::kSum> {
     return s;
   }
 
-  bool IsActive(const VertexState& state) const final {
+  bool IsActive(const VertexState& state) const {
     // Unremoved vertices that lost neighbors must re-check their residual degree.
     return state.delta != 0.0 && state.aux == 0.0;
   }
 
   // The first sweep must run unconditionally so low-degree vertices peel themselves.
-  bool InitiallyActive(const LocalVertexInfo& info, const VertexState& state) const override {
-    (void)info;
+  bool InitiallyActive(const LocalVertexInfo&, const VertexState& state) const {
     return state.aux == 0.0;
   }
 

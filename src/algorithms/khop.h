@@ -22,14 +22,14 @@ class KHopProgram : public ProgramBase<KHopProgram, AccKind::kMin> {
   // contributions could never win a min), so async execution is exact.
   bool monotonic() const override { return true; }
 
-  VertexState InitialState(const LocalVertexInfo& info) const override {
+  VertexState InitialState(const LocalVertexInfo& info) const {
     VertexState s;
     s.value = std::numeric_limits<double>::infinity();
     s.delta = info.global_id == source_ ? 0.0 : std::numeric_limits<double>::infinity();
     return s;
   }
 
-  bool IsActive(const VertexState& state) const final { return state.delta < state.value; }
+  bool IsActive(const VertexState& state) const { return state.delta < state.value; }
 
   template <class Ops>
   void Compute(const GraphPartition& partition, LocalVertexId v, std::span<VertexState> states,

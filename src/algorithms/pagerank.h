@@ -27,15 +27,14 @@ class PageRankProgram : public ProgramBase<PageRankProgram, AccKind::kSum> {
   // batching deltas changes which sub-epsilon residuals get dropped, so async would
   // converge to (slightly) different values than the BSP oracle.
 
-  VertexState InitialState(const LocalVertexInfo& info) const override {
-    (void)info;
+  VertexState InitialState(const LocalVertexInfo&) const {
     VertexState s;
     s.value = 0.0;
     s.delta = 1.0 - damping_;
     return s;
   }
 
-  bool IsActive(const VertexState& state) const final {
+  bool IsActive(const VertexState& state) const {
     return std::fabs(state.delta) > epsilon_;
   }
 

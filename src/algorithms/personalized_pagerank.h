@@ -19,14 +19,14 @@ class PersonalizedPageRankProgram : public ProgramBase<PersonalizedPageRankProgr
   std::string_view name() const override { return "ppr"; }
   // Not monotonic(): same epsilon-threshold timing dependence as PageRank.
 
-  VertexState InitialState(const LocalVertexInfo& info) const override {
+  VertexState InitialState(const LocalVertexInfo& info) const {
     VertexState s;
     s.value = 0.0;
     s.delta = info.global_id == seed_ ? 1.0 - damping_ : 0.0;
     return s;
   }
 
-  bool IsActive(const VertexState& state) const final {
+  bool IsActive(const VertexState& state) const {
     return std::fabs(state.delta) > epsilon_;
   }
 

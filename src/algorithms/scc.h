@@ -32,7 +32,7 @@ class SccProgram : public ProgramBase<SccProgram, AccKind::kMax> {
   // Not monotonic(): multi-phase (OnIterationEnd drives kNewPhase re-initializations),
   // which the async push stage's deferred-contribution window cannot replay across.
 
-  VertexState InitialState(const LocalVertexInfo& info) const override {
+  VertexState InitialState(const LocalVertexInfo& info) const {
     VertexState s;
     s.value = -std::numeric_limits<double>::infinity();
     s.delta = static_cast<double>(info.global_id);  // Bootstrap: own color.
@@ -40,7 +40,7 @@ class SccProgram : public ProgramBase<SccProgram, AccKind::kMax> {
     return s;
   }
 
-  bool IsActive(const VertexState& state) const final {
+  bool IsActive(const VertexState& state) const {
     if (state.aux != 0.0) {
       return false;  // Already assigned to a component.
     }
@@ -88,7 +88,7 @@ class SccProgram : public ProgramBase<SccProgram, AccKind::kMax> {
     return IterationAction::kNewPhase;
   }
 
-  void ReinitVertex(const LocalVertexInfo& info, VertexState& state) const override {
+  void ReinitVertex(const LocalVertexInfo& info, VertexState& state) const {
     state.delta_next = -std::numeric_limits<double>::infinity();
     if (state.aux != 0.0) {
       state.delta = -std::numeric_limits<double>::infinity();  // Out of the game.

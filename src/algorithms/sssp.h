@@ -23,14 +23,14 @@ class SsspProgram : public ProgramBase<SsspProgram, AccKind::kMin> {
   // distances, so async execution is exact.
   bool monotonic() const override { return true; }
 
-  VertexState InitialState(const LocalVertexInfo& info) const override {
+  VertexState InitialState(const LocalVertexInfo& info) const {
     VertexState s;
     s.value = std::numeric_limits<double>::infinity();
     s.delta = info.global_id == source_ ? 0.0 : std::numeric_limits<double>::infinity();
     return s;
   }
 
-  bool IsActive(const VertexState& state) const final { return state.delta < state.value; }
+  bool IsActive(const VertexState& state) const { return state.delta < state.value; }
 
   template <class Ops>
   void Compute(const GraphPartition& partition, LocalVertexId v, std::span<VertexState> states,

@@ -22,14 +22,14 @@ class WccProgram : public ProgramBase<WccProgram, AccKind::kMin> {
   // intra-partition re-draining only ever floods final candidate labels.
   bool path_independent() const override { return true; }
 
-  VertexState InitialState(const LocalVertexInfo& info) const override {
+  VertexState InitialState(const LocalVertexInfo& info) const {
     VertexState s;
     s.value = std::numeric_limits<double>::infinity();
     s.delta = static_cast<double>(info.global_id);
     return s;
   }
 
-  bool IsActive(const VertexState& state) const final { return state.delta < state.value; }
+  bool IsActive(const VertexState& state) const { return state.delta < state.value; }
 
   template <class Ops>
   void Compute(const GraphPartition& partition, LocalVertexId v, std::span<VertexState> states,

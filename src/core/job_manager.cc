@@ -14,21 +14,9 @@ namespace cgraph {
 
 namespace {
 
-// Vertices per SweepPartitions chunk. A multiple of 64 so concurrent refresh-kernel
-// chunks always write disjoint bitmask words (VertexProgram::RefreshRange).
+// Vertices per SweepPartitions chunk. A multiple of 64 so concurrent chunks of a
+// mask-writing kernel always write disjoint bitmask words (VertexProgram::InitRange).
 constexpr uint32_t kSweepGrain = 4096;
-
-// The initially-active predicate over a vertex's *freshly initialized* state — exactly
-// the state InitJob's fill sweep writes (InitialState with delta_next at the Acc
-// identity) before its first activity sweep evaluates InitiallyActive. ComputeFootprint
-// and InitJob must agree on this evaluation or admission overlap scores drift from the
-// partitions a job actually activates; keep all three sites in lockstep.
-bool InitiallyActiveFresh(const VertexProgram& program, const LocalVertexInfo& info,
-                          double identity) {
-  VertexState state = program.InitialState(info);
-  state.delta_next = identity;
-  return program.InitiallyActive(info, state);
-}
 
 }  // namespace
 
@@ -75,26 +63,6 @@ JobId JobManager::Submit(std::unique_ptr<VertexProgram> program, Timestamp submi
   return id;
 }
 
-void JobManager::ComputeFootprint(Job& job) {
-  const PartitionedGraph& g = layout_;
-  const VertexProgram& program = job.program();
-  const double identity = AccIdentity(program.acc_kind());
-  // Same per-vertex evaluation InitJob performs, without a private table.
-  const std::span<const uint32_t> counts =
-      SweepPartitions(all_partitions_, [&](PartitionId p, size_t begin, size_t end) {
-        const GraphPartition& part = g.partition(p);
-        uint32_t count = 0;
-        for (size_t i = begin; i < end; ++i) {
-          if (InitiallyActiveFresh(program, part.vertex(static_cast<LocalVertexId>(i)),
-                                   identity)) {
-            ++count;
-          }
-        }
-        return count;
-      });
-  job.footprint_.assign(counts.begin(), counts.end());
-}
-
 void JobManager::AdmitDue(uint64_t step) {
   current_step_ = std::max(current_step_, step);
   // A job that finishes during InitJob (nothing initially active) frees its slot before
@@ -121,10 +89,17 @@ void JobManager::AdmitDue(uint64_t step) {
     // would be pure overhead in the uncontended case. Memoized per job (a computed
     // footprint is never empty — it has one entry per partition); deterministic
     // whenever computed, since it depends only on the program and the layout.
+    // The count kernel evaluates InitJob's fresh state without a private table.
     if (policy_->needs_footprints() && contended) {
       for (const AdmissionPolicy::Candidate& c : candidates_) {
-        if (jobs_[c.job]->footprint_.empty()) {
-          ComputeFootprint(*jobs_[c.job]);
+        Job& candidate = *jobs_[c.job];
+        if (candidate.footprint_.empty()) {
+          const std::span<const uint32_t> counts =
+              SweepPartitions(all_partitions_, [&](PartitionId p, size_t begin, size_t end) {
+                return candidate.program().CountInitiallyActive(layout_.partition(p), begin,
+                                                                end);
+              });
+          candidate.footprint_.assign(counts.begin(), counts.end());
         }
       }
     }
@@ -206,54 +181,23 @@ void JobManager::InitJob(Job& job, uint32_t slot) {
     return;
   }
   job.table_ = PrivateTable(g);
-  job.active_.resize(g.num_partitions());
-  job.active_count_.assign(g.num_partitions(), 0);
-  job.processed_.assign(g.num_partitions(), false);
-  job.dirty_.assign(g.num_partitions(), false);
-  job.change_fraction_.assign(g.num_partitions(), 1.0);
-  // Sync buckets, pre-reserved to their tight per-iteration bound so the push path never
-  // reallocates mid-run: partition p can receive at most one merge record per mirror of
-  // its masters.
-  job.sync_in_.resize(g.num_partitions());
-  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    job.sync_in_[p].clear();
-    job.sync_in_[p].reserve(g.partition(p).num_mirror_refs());
-  }
-
+  ResetRunState(job);
   const VertexProgram& program = job.program();
-  const double identity = AccIdentity(program.acc_kind());
-
-  // Effective execution mode, fixed for the job's lifetime: async only when the options
-  // ask for it, the staleness window is non-degenerate, and the program declared the
-  // monotonicity contract. Everything else runs the exact BSP path.
-  job.async_ = options_.execution_mode == ExecutionMode::kAsync && options_.staleness > 0 &&
-               program.monotonic();
-  job.stats_.async_execution = job.async_;
   job.since_sync_ = 0;
   if (job.async_) {
     job.deferred_.resize(g.num_partitions());
     job.deferred_pending_.assign(g.num_partitions(), 0);
     for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-      job.deferred_[p].assign(g.partition(p).replicated_masters().size(), identity);
+      job.deferred_[p].assign(g.partition(p).replicated_masters().size(),
+                              AccIdentity(program.acc_kind()));
     }
   }
-
-  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    job.active_[p].Resize(g.partition(p).num_local_vertices());
-  }
-  // This fill (and the initial activity sweep over it) is what InitiallyActiveFresh
-  // mirrors for admission footprints — change them together.
-  SweepPartitions(all_partitions_, [&](PartitionId p, size_t begin, size_t end) {
-    const GraphPartition& part = g.partition(p);
-    auto states = job.table_.partition(p);
-    for (size_t v = begin; v < end; ++v) {
-      states[v] = program.InitialState(part.vertex(static_cast<LocalVertexId>(v)));
-      states[v].delta_next = identity;  // Acc must start at its identity.
-    }
-    return uint32_t{0};
-  });
-  const uint64_t active = RefreshActivity(job, /*all_partitions=*/true, /*swap_buffers=*/false,
-                                          /*initial=*/true);
+  // One sweep writes every fresh state and the first activity.
+  const uint64_t active =
+      SweepActivity(job, all_partitions_, [&](PartitionId p, size_t begin, size_t end) {
+        return program.InitRange(g.partition(p), job.table_.partition(p), begin, end,
+                                 job.active_[p]);
+      });
   if (active == 0) {
     FinalizeJob(job);  // The caller's admit loop picks up the freed slot.
     // A job that never computed reports zero wall time (legacy engine behavior), not the
@@ -263,7 +207,6 @@ void JobManager::InitJob(Job& job, uint32_t slot) {
 }
 
 void JobManager::RestoreJob(Job& job) {
-  const PartitionedGraph& g = layout_;
   const JobCheckpoint* cp = FindCheckpoint(job.id_);
   // Reenqueue verified a checkpoint exists; losing it before admission is a bug.
   CGRAPH_CHECK(cp != nullptr);
@@ -284,35 +227,44 @@ void JobManager::RestoreJob(Job& job) {
   job.since_sync_ = cp->since_sync;
   job.deferred_ = cp->deferred;
   job.deferred_pending_ = cp->deferred_pending;
-  // Same effective-mode derivation as a fresh init; the snapshot's async state matches
-  // because the options and program are the job's own.
-  job.async_ = options_.execution_mode == ExecutionMode::kAsync && options_.staleness > 0 &&
-               job.program().monotonic();
-
-  job.active_.resize(g.num_partitions());
-  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    job.active_[p].Resize(g.partition(p).num_local_vertices());
-  }
-  job.active_count_.assign(g.num_partitions(), 0);
-  job.processed_.assign(g.num_partitions(), false);
-  job.dirty_.assign(g.num_partitions(), false);
-  job.change_fraction_.assign(g.num_partitions(), 0.0);
-  job.sync_in_.resize(g.num_partitions());
-  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    job.sync_in_[p].clear();
-    job.sync_in_[p].reserve(g.partition(p).num_mirror_refs());
-  }
+  // The snapshot's async state matches the re-derived mode because the options and
+  // program are the job's own.
+  ResetRunState(job);
   // Masks, counts, fractions, and registrations are pure functions of the restored
   // states at an iteration boundary: the all-partition re-sweep reproduces them exactly
   // (inactive partitions land on fraction 0, which is also their pre-failure value —
   // a partition's fraction was zeroed by the sweep that deactivated it).
-  const uint64_t active = RefreshActivity(job, /*all_partitions=*/true, /*swap_buffers=*/false,
-                                          /*initial=*/false);
+  const uint64_t active = RefreshActivity(job, /*all_partitions=*/true, /*swap_buffers=*/false);
   if (active == 0) {
     // Snapshots are only taken while registered, so this means the checkpointed state
     // already converged — finalize as a normal completion.
     FinalizeJob(job);
   }
+}
+
+void JobManager::ResetRunState(Job& job) {
+  const PartitionedGraph& g = layout_;
+  job.active_.resize(g.num_partitions());
+  job.active_count_.assign(g.num_partitions(), 0);
+  job.processed_.assign(g.num_partitions(), false);
+  job.dirty_.assign(g.num_partitions(), false);
+  job.change_fraction_.assign(g.num_partitions(), 0.0);
+  // Sync buckets, reserved to their per-iteration bound so the push path never
+  // reallocates: p receives at most one merge record per mirror of its masters.
+  job.sync_in_.resize(g.num_partitions());
+  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
+    job.sync_in_[p].clear();
+    job.sync_in_[p].reserve(g.partition(p).num_mirror_refs());
+  }
+  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
+    job.active_[p].Resize(g.partition(p).num_local_vertices());
+  }
+  // Effective execution mode, fixed for the job's lifetime: async only when the options
+  // ask for it, the staleness window is non-degenerate, and the program declared the
+  // monotonicity contract. Everything else runs the exact BSP path.
+  job.async_ = options_.execution_mode == ExecutionMode::kAsync && options_.staleness > 0 &&
+               job.program().monotonic();
+  job.stats_.async_execution = job.async_;
 }
 
 void JobManager::FailJob(Job& job, Status status) {
@@ -412,31 +364,39 @@ void JobManager::MaybeCheckpoint(Job& job) {
   checkpoints_->Save(job.id_, std::move(cp));
 }
 
-uint64_t JobManager::RefreshActivity(Job& job, bool all_partitions, bool swap_buffers,
-                                     bool initial) {
-  const PartitionedGraph& g = layout_;
-  const VertexProgram& program = job.program();
+uint64_t JobManager::RefreshActivity(Job& job, bool all_partitions, bool swap_buffers) {
   refresh_parts_.clear();
-  for (PartitionId p = 0; p < g.num_partitions(); ++p) {
+  for (PartitionId p = 0; p < layout_.num_partitions(); ++p) {
     if (all_partitions || job.dirty_[p]) {
       refresh_parts_.push_back(p);
     }
   }
-  // Per-vertex half, pooled: the program's refresh kernel (optional delta double-buffer
-  // swap, then the active-mask rebuild) once per chunk. Each chunk writes only its own
+  return SweepActivity(job, refresh_parts_, [&](PartitionId p, size_t begin, size_t end) {
+    return job.program().RefreshRange(job.table_.partition(p), begin, end, swap_buffers,
+                                      job.active_[p]);
+  });
+}
+
+uint64_t JobManager::ReinitPhase(Job& job) {
+  return SweepActivity(job, all_partitions_, [&](PartitionId p, size_t begin, size_t end) {
+    return job.program().ReinitRange(layout_.partition(p), job.table_.partition(p), begin,
+                                     end, job.active_[p]);
+  });
+}
+
+uint64_t JobManager::SweepActivity(Job& job, std::span<const PartitionId> parts,
+                                   FunctionRef<uint32_t(PartitionId, size_t, size_t)> kernel) {
+  const PartitionedGraph& g = layout_;
+  // Per-vertex half, pooled: the kernel once per chunk. Each chunk writes only its own
   // vertices and whole bitmask words, and together they cover every word.
-  const std::span<const uint32_t> counts =
-      SweepPartitions(refresh_parts_, [&](PartitionId p, size_t begin, size_t end) {
-        return program.RefreshRange(g.partition(p), job.table_.partition(p), begin, end,
-                                    swap_buffers, initial, job.active_[p]);
-      });
+  const std::span<const uint32_t> counts = SweepPartitions(parts, kernel);
   // Per-partition half, on the driver in ascending partition order: registrations and
   // the scheduler's C(P) inputs.
   uint64_t total = 0;
   job.remaining_ = 0;
   size_t next = 0;
   for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-    if (next == refresh_parts_.size() || refresh_parts_[next] != p) {
+    if (next == parts.size() || parts[next] != p) {
       // Untouched partition: previous activity stands. It is necessarily zero — every
       // registered partition was processed (hence dirty) before Push ran.
       CGRAPH_DCHECK(job.active_count_[p] == 0);

@@ -106,17 +106,19 @@ class JobManager {
   }
 
   // Activation tracing (paper section 3.2.2): recomputes the job's activity and
-  // next-iteration global-table registration. `swap_buffers` applies the delta
-  // double-buffer swap (post-Push); `all_partitions` sweeps everything instead of only
-  // dirty partitions; `initial` uses InitiallyActive. The per-vertex sweep runs as pooled
-  // (partition, chunk) tasks; registrations and the scheduler's C(P) updates follow on
-  // the calling thread in ascending partition order.
+  // next-iteration global-table registration with the program's refresh kernel.
+  // `swap_buffers` applies the delta double-buffer swap (post-Push); `all_partitions`
+  // sweeps everything instead of only dirty partitions.
   //
   // Pre:  the job is running (holds a slot).
   // Post: the global table registers exactly the partitions where the job has active
   //       vertices; returns the active-vertex total (0 means the job converged).
-  uint64_t RefreshActivity(Job& job, bool all_partitions, bool swap_buffers, bool initial)
+  uint64_t RefreshActivity(Job& job, bool all_partitions, bool swap_buffers)
       CGRAPH_REQUIRES_DRIVER;
+
+  // kNewPhase: the program's re-init kernel over every partition, then activity and
+  // registration as RefreshActivity leaves them.
+  uint64_t ReinitPhase(Job& job) CGRAPH_REQUIRES_DRIVER;
 
   // Marks partition p handled for the job's current iteration and retires its
   // registration.
@@ -187,10 +189,13 @@ class JobManager {
 
  private:
   // Binds the job to `slot` and initializes its private table, activity, and first
-  // registrations. Jobs with no initially active vertex finalize immediately (the caller's
-  // admit loop reuses the freed slot; no recursion). Restore-pending jobs take the
-  // RestoreJob path instead of fresh initialization.
+  // registrations in one init-kernel sweep. Jobs with no initially active vertex finalize
+  // immediately (the caller's admit loop reuses the freed slot; no recursion).
+  // Restore-pending jobs take the RestoreJob path instead of fresh initialization.
   void InitJob(Job& job, uint32_t slot) CGRAPH_REQUIRES_DRIVER;
+  // The run state InitJob and RestoreJob both rebuild before their all-partition sweep
+  // (which overwrites the change fractions), and the effective execution mode.
+  void ResetRunState(Job& job) CGRAPH_REQUIRES_DRIVER;
   // Restore half of InitJob: rebuilds the job's runtime state from its latest checkpoint
   // (vertex states, async windows, stats snapshot) and re-derives activity masks,
   // counts, and registrations by re-sweeping the restored states — at an iteration
@@ -204,14 +209,15 @@ class JobManager {
   // available (legacy bit-identity), else the smallest free one.
   uint32_t AllocateSlot(const Job& job) const CGRAPH_REQUIRES_DRIVER_SHARED;
 
-  // Fills job.footprint_ with per-partition initially-active vertex counts (the state
-  // InitJob would build, without materializing a private table). Called lazily from
-  // AdmitDue — at most once per job, and only when a footprint-aware policy faces a
-  // decision with competing candidates.
-  void ComputeFootprint(Job& job) CGRAPH_REQUIRES_DRIVER;
+  // A mask-writing kernel(p, begin, end) over `parts` through SweepPartitions, then the
+  // counts, C(P) inputs and registrations on the driver in ascending partition order.
+  // Returns the active-vertex total.
+  uint64_t SweepActivity(Job& job, std::span<const PartitionId> parts,
+                         FunctionRef<uint32_t(PartitionId, size_t, size_t)> kernel)
+      CGRAPH_REQUIRES_DRIVER;
 
-  // The one dispatch path of the per-vertex bookkeeping sweeps (init fill, footprints,
-  // activity refresh): runs body(p, begin, end) over kSweepGrain-vertex chunks of every
+  // The one dispatch path of the per-vertex sweeps (init, footprints, activity refresh,
+  // phase re-init): runs body(p, begin, end) over kSweepGrain-vertex chunks of every
   // partition in `parts`, one pool task per chunk when those partitions together hold at
   // least EngineOptions::parallel_sweep_threshold vertices, inline otherwise. body returns
   // a per-chunk count; the result holds their per-partition sums, indexed like `parts`

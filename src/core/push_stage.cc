@@ -231,8 +231,7 @@ void PushStage::Push(Job& job) {
     }
   }
   uint64_t active_total = manager_->RefreshActivity(job, /*all_partitions=*/false,
-                                                    /*swap_buffers=*/true,
-                                                    /*initial=*/false);
+                                                    /*swap_buffers=*/true);
 
   // Flush-on-drain: an async job whose frontier went quiet may still owe mirrors a
   // deferred window — convergence is only real once every withheld record was delivered
@@ -260,7 +259,7 @@ void PushStage::Push(Job& job) {
     job.since_sync_ = 0;
     if (flushed_records > 0) {
       active_total = manager_->RefreshActivity(job, /*all_partitions=*/false,
-                                               /*swap_buffers=*/true, /*initial=*/false);
+                                               /*swap_buffers=*/true);
     }
   }
 
@@ -302,17 +301,11 @@ void PushStage::Push(Job& job) {
       return;
     }
     for (PartitionId p = 0; p < g.num_partitions(); ++p) {
-      const GraphPartition& part = g.partition(p);
-      auto states = job.table_.partition(p);
-      for (LocalVertexId v = 0; v < part.num_local_vertices(); ++v) {
-        job.program().ReinitVertex(part.vertex(v), states[v]);
-      }
       const ItemKey private_key{DataKind::kPrivate, job.id(), p, 0};
       job.stats_.charge +=
           hierarchy_->Access(private_key, job.table_.partition_bytes(p), /*pin=*/false);
     }
-    active_now = manager_->RefreshActivity(job, /*all_partitions=*/true,
-                                           /*swap_buffers=*/false, /*initial=*/false);
+    active_now = manager_->ReinitPhase(job);
   }
   if (!registered) {
     // The program spun through the phase guard without settling — isolate this job.

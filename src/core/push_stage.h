@@ -21,8 +21,9 @@
 // — runs on the worker pool through PoolDispatch, gated by
 // EngineOptions::parallel_sweep_threshold. Tasks write disjoint vertex slots and report
 // per-task counts and touched partitions that the driver reduces; every cache charge,
-// dirty_ update, registration, and program callback stays on the driver in ascending
-// partition order, so modeled output does not depend on the worker count.
+// dirty_ update, registration, and OnIterationEnd call stays on the driver in ascending
+// partition order, so modeled output does not depend on the worker count. The refresh
+// and a new phase's re-init run pooled in JobManager.
 //
 // Async (bounded-staleness) jobs relax only the broadcast half of the sync: mirror->master
 // merge runs every iteration, master->mirror delivery may lag by up to

@@ -7,10 +7,23 @@
 // partitions receive them at the Push stage. Multi-phase algorithms (SCC) additionally
 // drive the engine through phase transitions via OnIterationEnd()/ReinitVertex().
 //
-// A program derives from ProgramBase<Derived, Acc>, which implements the engine's
-// per-chunk kernels (ComputeWords, RefreshRange, DrainPending, ReenterDescending) once
-// for every program. The engine makes one virtual call per chunk of vertices; inside it
-// the program's non-virtual Compute, its IsActive and the Acc inline.
+// A program derives from ProgramBase<Derived, Acc>, which implements every per-vertex pass
+// over a job's state once for every program: the admission fill and footprint count
+// (InitRange, CountInitiallyActive), the trigger (ComputeWords), the activity refresh
+// (RefreshRange), the phase re-init (ReinitRange), the re-drain probe (DrainPending) and
+// CLIP reentry (ReenterDescending). Derived provides, as plain (non-virtual) members:
+//
+//   VertexState InitialState(const LocalVertexInfo&) const;  // delta is the bootstrap.
+//   bool IsActive(const VertexState&) const;                  // IsNotConvergent().
+//   template <class Ops>
+//   void Compute(const GraphPartition&, LocalVertexId v, std::span<VertexState>, Ops& ops);
+//
+// Compute consumes states[v].delta into states[v].value and scatters through
+// ops.Accumulate(target, contribution); Ops is a Scatter<K, kAtomic>. Derived may shadow
+// two optional hooks: InitiallyActive(info, fresh) (default IsActive(fresh); k-core forces
+// its first sweep) and ReinitVertex(info, state) (default nothing; applied to every vertex
+// on kNewPhase, it must leave delta_next at the Acc identity). The engine makes one
+// virtual call per chunk of vertices and none per vertex; the hooks and the Acc inline.
 //
 // Concurrency contract. Program objects are per-job and may hold phase state. Within
 // one trigger, several workers may call ComputeWords for different chunks of the same
@@ -18,15 +31,14 @@
 // scatter through the atomic sink (Scatter<Acc, true>), while Compute writes only its own
 // vertex's value/delta/aux. When the job's sweep of the partition is one task (the inline
 // path, one worker, one chunk, the async re-drain, CLIP reentry), scatters are plain
-// loads and stores (Scatter<Acc, false>). The refresh kernel runs concurrently only on
-// disjoint vertex ranges. The phase hooks run only at single-threaded synchronization
-// points.
+// loads and stores (Scatter<Acc, false>). The init, footprint, refresh and re-init
+// kernels run concurrently only on disjoint vertex ranges. The phase hooks
+// (OnIterationEnd) run only at single-threaded synchronization points.
 
 #ifndef SRC_CORE_VERTEX_PROGRAM_H_
 #define SRC_CORE_VERTEX_PROGRAM_H_
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <span>
 #include <string_view>
@@ -124,22 +136,19 @@ class VertexProgram {
   // does strictly more of it than BSP's per-wave batching.
   virtual bool path_independent() const { return false; }
 
-  // Initial state of a vertex (delta doubles as the activation bootstrap).
-  virtual VertexState InitialState(const LocalVertexInfo& info) const = 0;
+  // The per-chunk kernels, implemented by ProgramBase. A kernel that writes `active`
+  // covers local vertices [begin, end), `begin` a multiple of 64, writes the range's
+  // whole mask words, and returns the number of bits it set.
 
-  // The paper's IsNotConvergent(): whether the vertex must be processed next iteration,
-  // given its post-synchronization state.
-  virtual bool IsActive(const VertexState& state) const = 0;
+  // Init kernel (admission): writes each vertex's fresh state — InitialState with
+  // delta_next at the Acc identity — then sets every vertex InitiallyActive accepts.
+  virtual uint32_t InitRange(const GraphPartition& partition, std::span<VertexState> states,
+                             size_t begin, size_t end, DynamicBitset& active) const = 0;
 
-  // Forces a vertex active in iteration 0 even when IsActive(initial state) is false
-  // (used by algorithms whose first sweep is unconditional, e.g. k-core).
-  virtual bool InitiallyActive(const LocalVertexInfo& info, const VertexState& state) const {
-    (void)info;
-    return IsActive(state);
-  }
-
-  // The per-chunk kernels, implemented by ProgramBase. The engine calls each once per
-  // chunk, never per vertex.
+  // Footprint kernel: the number of vertices in [begin, end) InitRange would set,
+  // evaluated on the same fresh state without writing one.
+  virtual uint32_t CountInitiallyActive(const GraphPartition& partition, size_t begin,
+                                        size_t end) const = 0;
 
   // Trigger kernel (paper Fig. 7 over one chunk): runs Compute on every set bit of `mask`
   // in words [word_begin, word_end), in ascending order. `concurrent` says another worker
@@ -149,13 +158,15 @@ class VertexProgram {
                                      size_t word_begin, size_t word_end,
                                      std::span<VertexState> states, bool concurrent) = 0;
 
-  // Activity-refresh kernel over local vertices [begin, end), `begin` a multiple of 64:
-  // when `swap_buffers`, consumes the double buffer (delta = delta_next, delta_next = the
-  // Acc identity); then writes `active`'s words for the range, setting every vertex that
-  // IsActive (InitiallyActive when `initial`) accepts. Returns the number set.
-  virtual uint32_t RefreshRange(const GraphPartition& partition, std::span<VertexState> states,
-                                size_t begin, size_t end, bool swap_buffers, bool initial,
-                                DynamicBitset& active) const = 0;
+  // Activity-refresh kernel: when `swap_buffers`, consumes the double buffer (delta =
+  // delta_next, delta_next = the Acc identity); then sets every vertex IsActive accepts.
+  virtual uint32_t RefreshRange(std::span<VertexState> states, size_t begin, size_t end,
+                                bool swap_buffers, DynamicBitset& active) const = 0;
+
+  // Phase re-init kernel (kNewPhase): applies ReinitVertex to each vertex, then sets
+  // every vertex IsActive accepts.
+  virtual uint32_t ReinitRange(const GraphPartition& partition, std::span<VertexState> states,
+                               size_t begin, size_t end, DynamicBitset& active) const = 0;
 
   // Re-drain probe: each listed vertex whose pending delta_next IsActive accepts as its
   // delta consumes it (delta = delta_next, delta_next = identity) and is set in
@@ -178,29 +189,38 @@ class VertexProgram {
     (void)context;
     return IterationAction::kContinue;
   }
-
-  // Applied to every vertex state when OnIterationEnd returned kNewPhase. Implementations
-  // must leave value/delta/delta_next coherent for the new phase — in particular,
-  // delta_next must be reset to the Acc identity.
-  virtual void ReinitVertex(const LocalVertexInfo& info, VertexState& state) const {
-    (void)info;
-    (void)state;
-  }
 };
 
-// Implements the kernels once for every program. Derived provides, as in Fig. 7:
-//
-//   bool IsActive(const VertexState&) const final;
-//   template <class Ops>
-//   void Compute(const GraphPartition&, LocalVertexId v, std::span<VertexState>, Ops& ops);
-//
-// Compute consumes states[v].delta into states[v].value and scatters through
-// ops.Accumulate(target, contribution); Ops is a Scatter<K, kAtomic>. Declaring IsActive
-// final lets the kernels inline it.
+// Implements the kernels over Derived's hooks (see the contract at the top of this file).
 template <class Derived, AccKind K>
 class ProgramBase : public VertexProgram {
  public:
   AccKind acc_kind() const final { return K; }
+
+  // Optional hooks: Derived shadows these where the defaults do not fit.
+  bool InitiallyActive(const LocalVertexInfo&, const VertexState& fresh) const {
+    return self().IsActive(fresh);
+  }
+  void ReinitVertex(const LocalVertexInfo&, VertexState&) const {}
+
+  uint32_t InitRange(const GraphPartition& partition, std::span<VertexState> states,
+                     size_t begin, size_t end, DynamicBitset& active) const final {
+    return BuildWords(begin, end, active, [&](size_t v) {
+      const LocalVertexInfo& info = partition.vertex(static_cast<LocalVertexId>(v));
+      states[v] = FreshState(info);
+      return self().InitiallyActive(info, states[v]);
+    });
+  }
+
+  uint32_t CountInitiallyActive(const GraphPartition& partition, size_t begin,
+                                size_t end) const final {
+    uint32_t count = 0;
+    for (size_t v = begin; v < end; ++v) {
+      const LocalVertexInfo& info = partition.vertex(static_cast<LocalVertexId>(v));
+      count += static_cast<uint32_t>(self().InitiallyActive(info, FreshState(info)));
+    }
+    return count;
+  }
 
   ComputeCounts ComputeWords(const GraphPartition& partition, const DynamicBitset& mask,
                              size_t word_begin, size_t word_end, std::span<VertexState> states,
@@ -209,18 +229,25 @@ class ProgramBase : public VertexProgram {
                       : Sweep<false>(partition, mask, word_begin, word_end, states);
   }
 
-  uint32_t RefreshRange(const GraphPartition& partition, std::span<VertexState> states,
-                        size_t begin, size_t end, bool swap_buffers, bool initial,
-                        DynamicBitset& active) const final {
-    if (initial) {
-      CGRAPH_DCHECK(!swap_buffers);
-      return Refresh<false>(states, begin, end, active, [&](size_t v, const VertexState& s) {
-        return self().InitiallyActive(partition.vertex(static_cast<LocalVertexId>(v)), s);
-      });
+  uint32_t RefreshRange(std::span<VertexState> states, size_t begin, size_t end,
+                        bool swap_buffers, DynamicBitset& active) const final {
+    const auto is_active = [&](size_t v) { return self().IsActive(states[v]); };
+    if (!swap_buffers) {
+      return BuildWords(begin, end, active, is_active);
     }
-    const auto is_active = [this](size_t, const VertexState& s) { return self().IsActive(s); };
-    return swap_buffers ? Refresh<true>(states, begin, end, active, is_active)
-                        : Refresh<false>(states, begin, end, active, is_active);
+    return BuildWords(begin, end, active, [&](size_t v) {
+      states[v].delta = states[v].delta_next;
+      states[v].delta_next = kIdentity;
+      return is_active(v);
+    });
+  }
+
+  uint32_t ReinitRange(const GraphPartition& partition, std::span<VertexState> states,
+                       size_t begin, size_t end, DynamicBitset& active) const final {
+    return BuildWords(begin, end, active, [&](size_t v) {
+      self().ReinitVertex(partition.vertex(static_cast<LocalVertexId>(v)), states[v]);
+      return self().IsActive(states[v]);
+    });
   }
 
   uint32_t DrainPending(std::span<const LocalVertexId> vertices, std::span<VertexState> states,
@@ -273,24 +300,28 @@ class ProgramBase : public VertexProgram {
     return {computes, ops.edge_traversals()};
   }
 
-  template <bool kSwap, class Pred>
-  static uint32_t Refresh(std::span<VertexState> states, size_t begin, size_t end,
-                          DynamicBitset& active, Pred&& pred) {
+  // The one fresh state InitRange writes and CountInitiallyActive evaluates.
+  VertexState FreshState(const LocalVertexInfo& info) const {
+    VertexState s = self().InitialState(info);
+    s.delta_next = kIdentity;  // Acc must start at its identity.
+    return s;
+  }
+
+  // Every mask-writing kernel's word builder: evaluates bit(v) once per vertex in
+  // ascending order and counts the bits as it sets them (no per-word popcount).
+  template <class Bit>
+  static uint32_t BuildWords(size_t begin, size_t end, DynamicBitset& active, Bit&& bit) {
     CGRAPH_DCHECK(begin % 64 == 0);
     uint32_t count = 0;
     for (size_t word_begin = begin; word_begin < end; word_begin += 64) {
       const size_t word_end = std::min(word_begin + 64, end);
       uint64_t bits = 0;
       for (size_t v = word_begin; v < word_end; ++v) {
-        VertexState& s = states[v];
-        if constexpr (kSwap) {
-          s.delta = s.delta_next;
-          s.delta_next = kIdentity;
-        }
-        bits |= uint64_t{pred(v, s)} << (v - word_begin);
+        const bool on = bit(v);
+        bits |= uint64_t{on} << (v - word_begin);
+        count += static_cast<uint32_t>(on);
       }
       active.AssignWord(word_begin / 64, bits);
-      count += static_cast<uint32_t>(std::popcount(bits));
     }
     return count;
   }

@@ -205,6 +205,7 @@ ServiceReport ServiceDriver::Run(const std::vector<ServiceRequest>& trace) {
   ScopedThreadRole role(g_driver_role);
   CGRAPH_CHECK(!ran_);
   ran_ = true;
+  CGRAPH_CHECK(TraceFitsJobIds(trace.size(), options_.retry_limit));
 
   ServiceReport report;
   report.total_requests = trace.size();

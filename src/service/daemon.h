@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "src/cache/cache_sim.h"
 #include "src/common/thread_annotations.h"
 #include "src/core/ltp_engine.h"
 #include "src/metrics/latency_reservoir.h"
@@ -54,6 +55,12 @@ inline constexpr uint64_t kMaxRetryBackoff = uint64_t{1} << 31;
 // deadline_steps <= kMaxDeadlineSteps it cannot wrap for any step the retry bounds
 // allow. A wrapped deadline would land before its arrival and shed the job at once.
 inline constexpr uint64_t kMaxDeadlineSteps = uint64_t{1} << 31;
+
+// Job-id bound: ids are 16-bit cache owners below kSharedOwner, and each request may run
+// as a job that each retry may resubmit as a new one.
+constexpr bool TraceFitsJobIds(uint64_t requests, uint32_t retry_limit) {
+  return requests * (uint64_t{1} + retry_limit) <= kSharedOwner;
+}
 
 struct ServiceOptions {
   // Maximum jobs waiting for admission before arrivals shed at the door; 0 = unbounded.
@@ -135,6 +142,7 @@ class ServiceDriver {
   // Replays `trace` (must be sorted by arrival_step — GenerateArrivalTrace and
   // LoadTrace-of-a-saved-trace both are) to completion: every request either completes
   // or is shed, and the engine is idle on return. Callable once per driver.
+  // Pre: TraceFitsJobIds(trace.size(), retry_limit).
   ServiceReport Run(const std::vector<ServiceRequest>& trace);
 
  private:

@@ -1,6 +1,7 @@
 // Job-level admission policies (two-level scheduling): FIFO/overlap pick semantics,
 // aging-bounded starvation-freedom, degenerate-case equivalence with FIFO, and
-// determinism of overlap admission across runs and worker counts.
+// determinism of overlap admission across runs and worker counts, and the footprint
+// invariant (a job's admission footprint is exactly what its admission activates).
 
 #include <gtest/gtest.h>
 
@@ -11,11 +12,18 @@
 
 #include "src/algorithms/bfs.h"
 #include "src/algorithms/factory.h"
+#include "src/algorithms/kcore.h"
+#include "src/algorithms/khop.h"
 #include "src/algorithms/pagerank.h"
+#include "src/algorithms/personalized_pagerank.h"
+#include "src/algorithms/scc.h"
 #include "src/algorithms/sssp.h"
 #include "src/algorithms/wcc.h"
 #include "src/core/admission_policy.h"
+#include "src/core/job_manager.h"
 #include "src/core/ltp_engine.h"
+#include "src/core/scheduler.h"
+#include "src/runtime/thread_pool.h"
 #include "src/graph/generators.h"
 #include "src/metrics/csv_writer.h"
 #include "src/partition/partitioned_graph.h"
@@ -294,6 +302,78 @@ TEST(AdmissionPolicyEngineTest, OverlapAdmissionIsDeterministicAcrossRunsAndWork
   const auto baseline = run(1);
   EXPECT_EQ(baseline, run(1)) << "same worker count, repeated run";
   EXPECT_EQ(baseline, run(4)) << "different worker count";
+}
+
+// A program's admission footprint recomputed from its public hooks: per partition, the
+// vertices whose fresh state (InitialState, delta_next at the Acc identity) the concrete
+// program's InitiallyActive accepts.
+template <class Program>
+std::vector<uint32_t> FreshFootprint(const Program& program, const PartitionedGraph& pg) {
+  std::vector<uint32_t> counts(pg.num_partitions(), 0);
+  for (PartitionId p = 0; p < pg.num_partitions(); ++p) {
+    const GraphPartition& part = pg.partition(p);
+    for (LocalVertexId v = 0; v < part.num_local_vertices(); ++v) {
+      VertexState fresh = program.InitialState(part.vertex(v));
+      fresh.delta_next = AccIdentity(program.acc_kind());
+      counts[p] += program.InitiallyActive(part.vertex(v), fresh) ? 1 : 0;
+    }
+  }
+  return counts;
+}
+
+// The footprint is the input to overlap admission, so it must match what InitJob
+// activates. All eight programs are due at once for one slot: the first decision is
+// contended and computes every footprint. Then each admitted job's registrations are
+// compared with its footprint. Partitions above the sweep grain are split into chunks,
+// and with sweep threshold 0 at four workers the count and init kernels run pooled.
+TEST(AdmissionPolicyEngineTest, FootprintIsWhatAdmissionActivates) {
+  const EdgeList edges = GenerateErdosRenyi(20000, 60000, 61);
+  const VertexId source = PickSourceVertex(edges);
+  const PartitionedGraph pg = Partition(edges, 3);
+  for (const uint32_t workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    EngineOptions options = test_support::TestEngineOptions();
+    options.admission_policy = AdmissionPolicyKind::kOverlap;
+    options.max_jobs = 1;
+    options.num_workers = workers;
+    options.parallel_sweep_threshold = 0;
+    GlobalTable table(pg.num_partitions(), options.max_jobs);
+    Scheduler scheduler(pg, /*use_priorities=*/true);
+    ThreadPool pool(workers);
+    JobManager manager(pg, &table, &scheduler, &pool, options);
+    ScopedThreadRole role(g_driver_role);
+
+    std::vector<std::vector<uint32_t>> expected;
+    const auto submit = [&](auto program) {
+      expected.push_back(FreshFootprint(*program, pg));
+      manager.Submit(std::move(program), /*submit_time=*/0, /*arrival_step=*/0);
+    };
+    submit(std::make_unique<PageRankProgram>(0.85, 1e-4));
+    submit(std::make_unique<SsspProgram>(source));
+    submit(std::make_unique<SccProgram>());
+    submit(std::make_unique<BfsProgram>(source));
+    submit(std::make_unique<WccProgram>());
+    submit(std::make_unique<KCoreProgram>(4));  // Shadows InitiallyActive.
+    submit(std::make_unique<PersonalizedPageRankProgram>(source));
+    submit(std::make_unique<KHopProgram>(source, 3));
+    manager.AdmitDue(0);
+
+    size_t admitted = 0;
+    while (Job* job = manager.JobAtSlot(0)) {
+      ASSERT_EQ(job->footprint().size(), pg.num_partitions());
+      for (PartitionId p = 0; p < pg.num_partitions(); ++p) {
+        EXPECT_EQ(job->footprint()[p] > 0, table.IsRegistered(p, job->slot()))
+            << job->stats().job_name << " partition " << p;
+      }
+      manager.FinishJob(*job);  // Admits the next waiter into the freed slot.
+      ++admitted;
+    }
+    EXPECT_EQ(admitted, expected.size());
+    EXPECT_TRUE(manager.AllIdle());
+    for (JobId id = 0; id < manager.num_jobs(); ++id) {
+      EXPECT_EQ(manager.job(id).footprint(), expected[id]) << manager.job(id).stats().job_name;
+    }
+  }
 }
 
 }  // namespace

@@ -186,10 +186,10 @@ class DriverOnlyWcc : public ProgramBase<DriverOnlyWcc, AccKind::kMin> {
  public:
   explicit DriverOnlyWcc(std::thread::id driver) : driver_(driver) {}
   std::string_view name() const override { return wcc_.name(); }
-  VertexState InitialState(const LocalVertexInfo& info) const override {
+  VertexState InitialState(const LocalVertexInfo& info) const {
     return wcc_.InitialState(info);
   }
-  bool IsActive(const VertexState& state) const final { return wcc_.IsActive(state); }
+  bool IsActive(const VertexState& state) const { return wcc_.IsActive(state); }
 
   template <class Ops>
   void Compute(const GraphPartition& partition, LocalVertexId v, std::span<VertexState> states,

@@ -287,6 +287,15 @@ Status CheckCombinations(const CliOptions& o, const FlagSet& flags) {
       return status;
     }
   }
+  if (o.serve && o.trace_file.empty() &&
+      !TraceFitsJobIds(o.trace.num_requests, o.service.retry_limit)) {
+    return Status::InvalidArgument(
+        "--trace-jobs=" + std::to_string(o.trace.num_requests) + " with --retry-limit=" +
+        std::to_string(o.service.retry_limit) + " may submit up to " +
+        std::to_string(o.trace.num_requests * (uint64_t{1} + o.service.retry_limit)) +
+        " jobs; --trace-jobs * (1 + --retry-limit) must be at most " +
+        std::to_string(kSharedOwner) + ", the engine's job-id capacity");
+  }
   if (o.engine.execution_mode == ExecutionMode::kAsync) {
     // Job names are validated at parse time, so the factory probe cannot trip on an
     // unknown name. Source 0 is arbitrary: monotonic() is a program-type property.
@@ -546,6 +555,13 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: cannot load trace from '%s'\n",
                      options.trace_file.c_str());
         return 1;
+      }
+      if (!TraceFitsJobIds(trace.size(), options.service.retry_limit)) {
+        std::fprintf(stderr,
+                     "error: --trace-file holds %zu requests; with --retry-limit=%u that "
+                     "exceeds the engine's job-id capacity of %u\n",
+                     trace.size(), options.service.retry_limit, kSharedOwner);
+        return 2;
       }
     } else {
       options.trace.sources = PickSourcePool(edges, options.trace_sources);
