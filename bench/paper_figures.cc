@@ -14,6 +14,7 @@
 // the flags.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <compare>
 #include <cstdio>
@@ -38,8 +39,8 @@
 #include "src/graph/stats.h"
 #include "src/metrics/table_printer.h"
 #include "src/partition/partitioned_graph.h"
+#include "src/service/trace_gen.h"
 #include "src/storage/snapshot_store.h"
-#include "src/trace/job_trace.h"
 
 namespace cgraph::bench {
 namespace {
@@ -200,6 +201,15 @@ class Runner {
   uint32_t CorePartitions(size_t d, const Layout& layout) const {
     return core_partitions_.at({d, layout});
   }
+  // Dataset d cut with a kept layout (kCoreLayout or kFlatLayout), built on first use.
+  const PartitionedGraph& Kept(size_t d, const Layout& layout) {
+    std::map<Layout, PartitionedGraph>& kept = Dataset(d).kept;
+    auto it = kept.find(layout);
+    if (it == kept.end()) {
+      it = kept.emplace(layout, BuildStatic(d, layout)).first;
+    }
+    return it->second;
+  }
 
   // `jobs` (default: the benchmark mix of env().jobs jobs) on the static graph, with
   // `workers` (default: env().workers).
@@ -273,6 +283,15 @@ class Runner {
     return PartitionedGraphBuilder::Build(Edges(d), popts);
   }
 
+  // Dataset d's static graph: `layout` over Partitions(d), with its core count recorded.
+  PartitionedGraph BuildStatic(size_t d, const Layout& layout) {
+    PartitionedGraph graph = Build(d, layout, Partitions(d));
+    core_partitions_[{d, layout}] = static_cast<uint32_t>(
+        std::count_if(graph.partitions().begin(), graph.partitions().end(),
+                      [](const GraphPartition& part) { return part.is_core(); }));
+    return graph;
+  }
+
   RunReport Execute(const System& system, const RunKey& key) {
     PreparedDataset& ds = Dataset(key.dataset);
     EngineOptions options = env_.Engine();
@@ -298,18 +317,11 @@ class Runner {
       return run(executor);
     };
     if (key.change_ratio < 0.0) {
-      const auto kept = ds.kept.find(key.layout);
-      if (kept != ds.kept.end()) {
-        return execute(&kept->second);
+      if (key.layout == kCoreLayout || key.layout == kFlatLayout) {
+        return execute(&Kept(key.dataset, key.layout));
       }
-      PartitionedGraph graph = Build(key.dataset, key.layout, key.partitions);
-      core_partitions_[{key.dataset, key.layout}] = static_cast<uint32_t>(
-          std::count_if(graph.partitions().begin(), graph.partitions().end(),
-                        [](const GraphPartition& part) { return part.is_core(); }));
-      if (key.layout != kCoreLayout && key.layout != kFlatLayout) {
-        return execute(&graph);  // An ablation's layout serves one run and is dropped.
-      }
-      return execute(&ds.kept.emplace(key.layout, std::move(graph)).first->second);
+      const PartitionedGraph graph = BuildStatic(key.dataset, key.layout);
+      return execute(&graph);  // An ablation's layout serves one run and is dropped.
     }
     // One chain is kept at a time: the figures read each chain's runs together.
     const auto chain =
@@ -456,33 +468,93 @@ void Table1(Runner& runner, Claims&) {
   table.Print();
 }
 
-// Figure 1: the concurrent-job trace, regenerated by the synthetic trace generator (the
-// paper's production trace is proprietary).
-void Fig01(Runner&, Claims& claims) {
-  const TraceSummary summary = GenerateJobTrace(TraceOptions{});
-  std::printf("== Figure 1(a): Number of CGP jobs over time (hourly, sampled every 6h) ==\n");
-  TablePrinter jobs_table({"Hour", "Concurrent jobs"});
-  for (size_t i = 0; i < summary.points.size(); i += 6) {
-    jobs_table.AddRow({FormatDouble(summary.points[i].hour, 0),
-                       std::to_string(summary.points[i].concurrent_jobs)});
+// Figure 1: how many jobs run at once, and how many partitions they share, sampled from
+// an engine replay of a service trace (the paper's week-long production trace is
+// proprietary). The inputs are fixed once, not tuned towards the claims:
+// - dataset 0 in CGraph's kept layout, the partitions every CGraph run of it uses;
+// - max_jobs = the request count, so no job queues: the figure counts offered
+//   concurrency, not what admission lets through;
+// - 512 requests, two diurnal periods at TraceGenOptions' default seed, gap and period;
+// - the daemon's service mix, rooted in PickSourcePool(edges, 8) as the daemon roots it.
+// With coalescing off and an unbounded queue the daemon is this SubmitAt replay
+// (src/service/daemon.h); the engine is driven directly so every step can be sampled.
+void Fig01(Runner& runner, Claims& claims) {
+  constexpr uint32_t kShareThresholds[] = {1, 2, 4, 8, 16};
+  constexpr size_t kRows = 16;
+  const size_t d = 0;
+  const PartitionedGraph& graph = runner.Kept(d, kCoreLayout);
+  const std::vector<ServiceRequest> trace =
+      GenerateArrivalTrace({.num_requests = 512,
+                            .pattern = ArrivalPattern::kDiurnal,
+                            .programs = {"pagerank", "sssp", "wcc", "bfs"},
+                            .sources = PickSourcePool(runner.Edges(d), 8)});
+  EngineOptions options = runner.env().Engine();
+  options.max_jobs = static_cast<uint32_t>(trace.size());
+  LtpEngine engine(&graph, options);
+  for (const ServiceRequest& request : trace) {
+    engine.SubmitAt(MakeProgram(request.program, request.source), request.arrival_step);
   }
+
+  // The state each scheduling step leaves: running jobs, and the share of in-use
+  // partitions (N(P) > 0) registered by more than k jobs. A Step() that advanced n steps
+  // fast-forwarded over n - 1 idle ones first, and those hold nothing.
+  struct Sample {
+    uint32_t running = 0;
+    std::array<double, std::size(kShareThresholds)> shared = {};
+  };
+  std::vector<Sample> samples;  // Indexed by step.
+  while (engine.Step()) {
+    samples.resize(engine.current_step() - 1);
+    Sample& sample = samples.emplace_back();
+    sample.running = engine.NumRunning();
+    uint32_t in_use = 0;
+    for (PartitionId p = 0; p < graph.num_partitions(); ++p) {
+      const uint32_t count = engine.RegisteredCount(p);
+      in_use += count > 0 ? 1 : 0;
+      for (size_t k = 0; k < sample.shared.size(); ++k) {
+        sample.shared[k] += count > kShareThresholds[k] ? 1.0 : 0.0;
+      }
+    }
+    for (double& shared : sample.shared) {
+      shared = in_use == 0 ? 0.0 : shared / in_use;
+    }
+  }
+  uint32_t peak = 0;
+  double running_sum = 0.0;
+  double shared_sum = 0.0;
+  for (const Sample& sample : samples) {
+    peak = std::max(peak, sample.running);
+    running_sum += sample.running;
+    shared_sum += sample.shared[0];
+  }
+  const double steps = std::max<double>(1.0, static_cast<double>(samples.size()));
+
+  // Both tables show kRows evenly spaced steps.
+  TablePrinter jobs_table({"Step", "Running jobs"});
+  TablePrinter share_table({"Step", ">1", ">2", ">4", ">8", ">16"});
+  for (size_t row = 0; row < kRows && !samples.empty(); ++row) {
+    const size_t step = samples.size() * row / kRows;
+    jobs_table.AddRow({std::to_string(step), std::to_string(samples[step].running)});
+    std::vector<std::string> cells = {std::to_string(step)};
+    for (const double shared : samples[step].shared) {
+      cells.push_back(Pct(shared));
+    }
+    share_table.AddRow(cells);
+  }
+  std::printf("== Figure 1(a): Number of CGP jobs over scheduling steps (%s, P = %u, %zu "
+              "requests) ==\n",
+              runner.name(d).c_str(), graph.num_partitions(), trace.size());
   jobs_table.Print();
-  claims.Add("fig01.peak_jobs_above_20", summary.peak_concurrent_jobs > 20,
-             std::to_string(summary.peak_concurrent_jobs) + " at peak", ">20 at peak");
-  std::printf("mean concurrent jobs: %s\n\n",
-              FormatDouble(summary.mean_concurrent_jobs, 2).c_str());
+  claims.Add("fig01.peak_jobs_above_20", peak > 20, std::to_string(peak) + " at peak",
+             ">20 at peak");
+  std::printf("mean running jobs: %s over %zu steps\n\n",
+              FormatDouble(running_sum / steps, 2).c_str(), samples.size());
 
   std::printf("== Figure 1(b): Ratio of partitions shared by more than k jobs (%%) ==\n");
-  TablePrinter share_table({"Hour", ">1", ">2", ">4", ">8", ">16"});
-  for (size_t i = 0; i < summary.points.size(); i += 12) {
-    const auto& p = summary.points[i];
-    share_table.AddRow({FormatDouble(p.hour, 0), Pct(p.shared_ratio[0]), Pct(p.shared_ratio[1]),
-                        Pct(p.shared_ratio[2]), Pct(p.shared_ratio[3]), Pct(p.shared_ratio[4])});
-  }
   share_table.Print();
-  const std::string shared = Pct(summary.mean_shared_by_more_than_one);
+  const std::string shared = Pct(shared_sum / steps);
   claims.Add("fig01.shared_by_more_than_one_above_75pct", Number(shared) > 75.0,
-             shared + "% time-average", ">75% of active partitions");
+             shared + "% step-average", ">75% of active partitions");
 }
 
 // Figure 2: per-job execution and data-access time on Seraph as n copies of one algorithm

@@ -94,6 +94,7 @@ class JobManager {
   // service layer's backpressure signal: a bounded daemon sheds at the door when this
   // reaches its queue bound.
   size_t NumWaiting() const CGRAPH_REQUIRES_DRIVER_SHARED { return waiting_.size(); }
+  uint32_t NumRunning() const CGRAPH_REQUIRES_DRIVER_SHARED { return running_; }
   // Smallest arrival step among waiting jobs; only meaningful when HasWaiting().
   uint64_t NextArrivalStep() const CGRAPH_REQUIRES_DRIVER_SHARED;
 

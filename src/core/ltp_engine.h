@@ -136,6 +136,14 @@ class LtpEngine {
     return manager_->NumWaiting();
   }
 
+  // Jobs holding a concurrency slot, and N(P): the jobs registered on partition p for
+  // its next iteration. Fig. 1 (bench/paper_figures.cc) samples both after each Step().
+  uint32_t NumRunning() const {
+    ScopedThreadRole role(g_driver_role);
+    return manager_->NumRunning();
+  }
+  uint32_t RegisteredCount(PartitionId p) const { return global_table_->RegisteredCount(p); }
+
   // Sheds a job that is still queued for admission (deadline expiry / queue bound).
   // Returns true iff the job was waiting; it is then finished with stats().shed set and
   // zero work. Running or finished jobs are untouched (returns false).

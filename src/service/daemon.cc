@@ -1,5 +1,6 @@
 #include "src/service/daemon.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/algorithms/factory.h"
@@ -206,6 +207,11 @@ ServiceReport ServiceDriver::Run(const std::vector<ServiceRequest>& trace) {
   CGRAPH_CHECK(!ran_);
   ran_ = true;
   CGRAPH_CHECK(TraceFitsJobIds(trace.size(), options_.retry_limit));
+  CGRAPH_CHECK(std::is_sorted(trace.begin(), trace.end(),
+                              [](const ServiceRequest& a, const ServiceRequest& b) {
+                                return a.arrival_step < b.arrival_step;
+                              }));
+  CGRAPH_CHECK(trace.empty() || trace.back().arrival_step <= kMaxArrivalStep);
 
   ServiceReport report;
   report.total_requests = trace.size();

@@ -55,6 +55,11 @@ inline constexpr uint64_t kMaxRetryBackoff = uint64_t{1} << 31;
 // deadline_steps <= kMaxDeadlineSteps it cannot wrap for any step the retry bounds
 // allow. A wrapped deadline would land before its arrival and shed the job at once.
 inline constexpr uint64_t kMaxDeadlineSteps = uint64_t{1} << 31;
+// Arrival bound: the latest step a request reaches is its arrival plus the summed retry
+// backoff (below 2^63 under the retry bounds) plus deadline_steps (at most 2^31). With
+// arrivals at most kMaxArrivalStep that stays below 2^62 + 2^63 + 2^31 < 2^64, so
+// neither the engine's step counter nor a deadline wraps.
+inline constexpr uint64_t kMaxArrivalStep = uint64_t{1} << 62;
 
 // Job-id bound: ids are 16-bit cache owners below kSharedOwner, and each request may run
 // as a job that each retry may resubmit as a new one.
@@ -139,10 +144,11 @@ class ServiceDriver {
   // of it for the duration of Run() (it owns the Step() loop).
   ServiceDriver(LtpEngine* engine, const ServiceOptions& options);
 
-  // Replays `trace` (must be sorted by arrival_step — GenerateArrivalTrace and
-  // LoadTrace-of-a-saved-trace both are) to completion: every request either completes
-  // or is shed, and the engine is idle on return. Callable once per driver.
-  // Pre: TraceFitsJobIds(trace.size(), retry_limit).
+  // Replays `trace` to completion: every request either completes or is shed, and the
+  // engine is idle on return. Callable once per driver.
+  // Pre: TraceFitsJobIds(trace.size(), retry_limit); `trace` is sorted by arrival_step
+  //      (GenerateArrivalTrace and LoadTrace guarantee it) and its last arrival is at
+  //      most kMaxArrivalStep.
   ServiceReport Run(const std::vector<ServiceRequest>& trace);
 
  private:

@@ -3,10 +3,11 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 
 #include "src/common/check.h"
 #include "src/common/prng.h"
+#include "src/common/strings.h"
 
 namespace cgraph {
 
@@ -98,27 +99,48 @@ bool SaveTrace(const std::vector<ServiceRequest>& trace, const std::string& path
   return static_cast<bool>(out);
 }
 
-bool LoadTrace(const std::string& path, std::vector<ServiceRequest>* out) {
+Status LoadTrace(const std::string& path, std::vector<ServiceRequest>* out,
+                 FunctionRef<Status(const ServiceRequest&)> check) {
   out->clear();
   std::ifstream in(path);
   if (!in) {
-    return false;
+    return Status::NotFound("cannot open trace " + path);
   }
   std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
+  for (size_t line_no = 1; std::getline(in, line); ++line_no) {
+    const std::vector<std::string_view> fields = SplitNonEmpty(line, " \t\r");
+    if (fields.empty()) {
       continue;
     }
-    std::istringstream fields(line);
+    const auto error = [&](const std::string& what) {
+      return Status::InvalidArgument(path + ":" + std::to_string(line_no) + ": " + what);
+    };
+    if (fields.size() != 3) {
+      return error("expected 'arrival_step program source'");
+    }
     ServiceRequest req;
+    if (!ParseUint64(fields[0], &req.arrival_step)) {
+      return error("arrival step must be a non-negative integer");
+    }
+    if (!out->empty() && req.arrival_step < out->back().arrival_step) {
+      return error("arrival step " + std::to_string(req.arrival_step) +
+                   " is below the previous line's; the trace must be sorted");
+    }
+    req.program = fields[1];
     uint64_t source = 0;
-    if (!(fields >> req.arrival_step >> req.program >> source)) {
-      return false;
+    if (!ParseUint64(fields[2], &source) || source >= kInvalidVertex) {
+      return error("source must be a 32-bit vertex id");
     }
     req.source = static_cast<VertexId>(source);
+    if (check) {
+      const Status status = check(req);
+      if (!status.ok()) {
+        return error(status.message());
+      }
+    }
     out->push_back(std::move(req));
   }
-  return true;
+  return Status::Ok();
 }
 
 }  // namespace cgraph

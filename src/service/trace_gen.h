@@ -28,6 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/function_ref.h"
+#include "src/common/status.h"
 #include "src/common/types.h"
 
 namespace cgraph {
@@ -69,11 +71,16 @@ struct TraceGenOptions {
 // Deterministic in TraceGenOptions; no global state.
 std::vector<ServiceRequest> GenerateArrivalTrace(const TraceGenOptions& options);
 
-// Trace file round-trip: one "arrival_step program source" line per request.
-// SaveTrace returns false when the file cannot be opened; LoadTrace returns false on
-// open failure or any malformed line (out receives the requests parsed so far).
+// Trace file round-trip: one "arrival_step program source" line per request; blank
+// lines are skipped. SaveTrace returns false when the file cannot be opened.
+// LoadTrace returns kNotFound when the file cannot be opened, and kInvalidArgument
+// naming "path:line" for the first line that is not exactly three fields, whose arrival
+// step is not a non-negative integer or is below the previous line's (the trace must
+// be sorted), whose source is not a 32-bit vertex id, or that `check` rejects. `out`
+// receives the requests before that line.
 bool SaveTrace(const std::vector<ServiceRequest>& trace, const std::string& path);
-bool LoadTrace(const std::string& path, std::vector<ServiceRequest>* out);
+Status LoadTrace(const std::string& path, std::vector<ServiceRequest>* out,
+                 FunctionRef<Status(const ServiceRequest&)> check = {});
 
 }  // namespace cgraph
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/algorithms/wcc.h"
 #include "src/common/check.h"
@@ -100,6 +101,22 @@ TEST(ServiceDeathTest, DeadlineThatCouldWrapAborts) {
   ServiceDriver accepted(&engine, sopts);
   sopts.deadline_steps = kMaxDeadlineSteps + 1;
   EXPECT_DEATH(ServiceDriver(&engine, sopts), "CHECK failed");
+}
+
+TEST(ServiceDeathTest, UnsortedOrUnboundedTraceAborts) {
+  const EdgeList edges = GenerateRing(8);
+  PartitionOptions popts;
+  popts.num_partitions = 2;
+  const PartitionedGraph pg = PartitionedGraphBuilder::Build(edges, popts);
+  EngineOptions options;
+  options.num_workers = 1;
+  const auto replay = [&](const std::vector<ServiceRequest>& trace) {
+    LtpEngine engine(&pg, options);
+    ServiceDriver(&engine, ServiceOptions{}).Run(trace);
+  };
+  replay({{0, "bfs", 1}, {kMaxArrivalStep, "bfs", 2}});  // The latest arrival accepted.
+  EXPECT_DEATH(replay({{5, "bfs", 1}, {0, "sssp", 2}}), "CHECK failed");
+  EXPECT_DEATH(replay({{kMaxArrivalStep + 1, "bfs", 1}}), "CHECK failed");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -495,6 +496,45 @@ TEST(EngineTest, TriggerScatterPathsMatchSerial) {
       }
     }
   }
+}
+
+// The per-step numbers Fig. 1 (bench/paper_figures.cc) samples: the running-job count
+// and each partition's N(P). Staggered min-accumulator jobs, exact at any worker count,
+// give the same sequence at workers 1 and 4 with every sweep and trigger pooled. N(P)
+// never exceeds the running count, and a running job is registered somewhere.
+TEST(EngineTest, RunningAndRegisteredCountsPerStepMatchAcrossWorkers) {
+  const EdgeList edges = GenerateErdosRenyi(2000, 16000, 43);
+  const std::vector<VertexId> sources = PickSourcePool(edges, 4);
+  const PartitionedGraph pg = Partition(edges, 8);
+  const auto per_step = [&](uint32_t workers) {
+    EngineOptions options = test_support::TestEngineOptions();
+    options.num_workers = workers;
+    options.parallel_sweep_threshold = 0;
+    options.parallel_trigger_threshold = 0;
+    LtpEngine engine(&pg, options);
+    const char* const programs[] = {"sssp", "bfs", "wcc"};
+    for (uint32_t i = 0; i < 12; ++i) {
+      engine.SubmitAt(MakeProgram(programs[i % 3], sources[i % sources.size()]), 3 * i);
+    }
+    std::vector<std::vector<uint64_t>> samples;  // {step, running, N(P) per partition}.
+    uint32_t peak = 0;
+    while (engine.Step()) {
+      const uint32_t running = engine.NumRunning();
+      std::vector<uint64_t> sample = {engine.current_step(), running};
+      uint32_t registered = 0;
+      for (PartitionId p = 0; p < pg.num_partitions(); ++p) {
+        sample.push_back(engine.RegisteredCount(p));
+        EXPECT_LE(engine.RegisteredCount(p), running) << "step " << sample[0] << " P" << p;
+        registered += engine.RegisteredCount(p);
+      }
+      EXPECT_TRUE(running == 0 || registered > 0) << "step " << sample[0];
+      peak = std::max(peak, running);
+      samples.push_back(std::move(sample));
+    }
+    EXPECT_GT(peak, 1u);  // The arrivals overlap, so partitions are shared.
+    return samples;
+  };
+  EXPECT_EQ(per_step(1), per_step(4));
 }
 
 TEST(EngineTest, ThetaDominanceSchedulerPrefersMoreJobs) {

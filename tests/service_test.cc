@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/algorithms/factory.h"
@@ -114,7 +115,7 @@ TEST(TraceGenTest, TraceFileRoundTripsExactly) {
   const std::string path = test_support::TempPath("service_trace_roundtrip.txt");
   ASSERT_TRUE(SaveTrace(trace, path));
   std::vector<ServiceRequest> loaded;
-  ASSERT_TRUE(LoadTrace(path, &loaded));
+  ASSERT_TRUE(LoadTrace(path, &loaded).ok());
   std::remove(path.c_str());
 
   ASSERT_EQ(loaded.size(), trace.size());
@@ -123,6 +124,32 @@ TEST(TraceGenTest, TraceFileRoundTripsExactly) {
     EXPECT_EQ(loaded[i].program, trace[i].program);
     EXPECT_EQ(loaded[i].source, trace[i].source);
   }
+}
+
+TEST(TraceGenTest, LoadTraceNamesTheBadLine) {
+  // Line 4 (after a blank line) holds the fault; the requests before it are kept.
+  const auto load = [](const std::string& bad, std::vector<ServiceRequest>* out) {
+    const test_support::ScopedFile file("service_trace_bad.txt", "0 bfs 1\n\n2 sssp 3\n" + bad);
+    const Status status = LoadTrace(file.path(), out, [](const ServiceRequest& req) {
+      return req.program == "bfs" || req.program == "sssp"
+                 ? Status::Ok()
+                 : Status::InvalidArgument("unknown job '" + req.program + "'");
+    });
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(status.message().rfind(file.path() + ":4: ", 0), 0u) << status.message();
+    return status.message();
+  };
+  std::vector<ServiceRequest> out;
+  EXPECT_NE(load("1 sssp 3\n", &out).find("below the previous line's"), std::string::npos);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1].source, 3u);
+  EXPECT_NE(load("-1 bfs 1\n", &out).find("non-negative integer"), std::string::npos);
+  EXPECT_NE(load("5 bfs 99999999999\n", &out).find("32-bit vertex id"), std::string::npos);
+  EXPECT_NE(load("5 bfs 1 extra\n", &out).find("expected 'arrival_step program source'"),
+            std::string::npos);
+  EXPECT_NE(load("5 foo 1\n", &out).find("unknown job 'foo'"), std::string::npos);
+  EXPECT_EQ(LoadTrace(test_support::TempPath("service_trace_missing.txt"), &out).code(),
+            StatusCode::kNotFound);
 }
 
 // --- Coalesce keys -----------------------------------------------------------------

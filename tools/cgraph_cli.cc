@@ -551,10 +551,24 @@ int main(int argc, char** argv) {
   if (options.serve) {
     std::vector<ServiceRequest> trace;
     if (!options.trace_file.empty()) {
-      if (!LoadTrace(options.trace_file, &trace)) {
-        std::fprintf(stderr, "error: cannot load trace from '%s'\n",
-                     options.trace_file.c_str());
-        return 1;
+      // Each request must name a --jobs program, root in the graph and arrive within
+      // the daemon's step bound; a bad line is a usage error, an unreadable file is not.
+      const Status loaded = LoadTrace(
+          options.trace_file, &trace, [&edges](const ServiceRequest& req) {
+            if (req.arrival_step > kMaxArrivalStep) {
+              return Status::InvalidArgument("arrival step " + std::to_string(req.arrival_step) +
+                                             " is above the bound 2^62");
+            }
+            if (req.source >= edges.num_vertices()) {
+              return Status::InvalidArgument(
+                  "source=" + std::to_string(req.source) + " is out of range: the graph has " +
+                  std::to_string(edges.num_vertices()) + " vertices");
+            }
+            return CheckJobName("--trace-file", req.program);
+          });
+      if (!loaded.ok()) {
+        std::fprintf(stderr, "error: %s\n", loaded.message().c_str());
+        return loaded.code() == StatusCode::kNotFound ? 1 : 2;
       }
       if (!TraceFitsJobIds(trace.size(), options.service.retry_limit)) {
         std::fprintf(stderr,
